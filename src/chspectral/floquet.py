@@ -19,6 +19,7 @@ from .shooting import (
     ShootingState,
     endpoint_column,
     fundamental_matrix,
+    positive_part_vanishes,
     propagate,
     solve_fundamental,
 )
@@ -86,10 +87,9 @@ def discriminant(m, lam, steps=DEFAULT_STEPS):
 
 
 def discriminant_sweep(m, lams, steps=DEFAULT_STEPS):
-    """Delta over an array of spectral points (batched integration)."""
-    p1, _ = endpoint_column(m, lams, (1.0, 0.0), steps)
-    _, d2 = endpoint_column(m, lams, (0.0, 1.0), steps)
-    return 0.5 * (p1 + d2)
+    """Delta over an array of spectral points: both columns in one batched pass."""
+    psi, dpsi = endpoint_column(m, lams, np.eye(2), steps)
+    return 0.5 * (psi[0] + dpsi[1])
 
 
 def multipliers(delta):
@@ -151,10 +151,15 @@ def auxiliary_spectrum(m, lam_min=GUARD_BAND, lam_max=None, count=None,
     Give lam_max, count, or both.  With count alone the window grows until
     enough roots appear; with both, at most count roots are returned.  The
     coarse scan runs at steps // 8 and every bracket is re-polished at the
-    full step count.
+    full step count.  With count alone and lam_min >= 0, a coefficient with
+    no positive part raises ValueError at once: it has no point above 0.
     """
     if lam_max is None and count is None:
         raise ValueError("auxiliary_spectrum needs lam_max or count")
+    if lam_max is None and lam_min >= 0.0 and positive_part_vanishes(m, steps):
+        raise ValueError("m has no positive part (no atom weight and no sampled smooth "
+                         "value is > 0), so y2(1, lambda) > 0 for every lambda > 0 and "
+                         "there is no auxiliary point to count")
     if count is not None and m.smooth_is_zero:
         # purely atomic coefficient: y2(1, .) is a polynomial of degree
         # len(atoms), so the auxiliary spectrum is finite
@@ -242,14 +247,15 @@ def periodic_spectrum(m, lam_min, lam_max, steps=DEFAULT_STEPS):
     deltas = discriminant_sweep(m, nodes, scan_steps)
     edges = []
     for target, kind in ((1.0, "periodic"), (-1.0, "antiperiodic")):
-        edges.extend(_edge_hunt(m, nodes, deltas - target, target, kind, steps))
+        # Delta = +1 and Delta = -1 never meet, so only same-kind repeats merge
+        merged = []
+        for e in sorted(_edge_hunt(m, nodes, deltas - target, target, kind, steps),
+                        key=lambda e: e.lam):
+            if not merged or abs(e.lam - merged[-1].lam) > 1e-9 * max(1.0, abs(e.lam)):
+                merged.append(e)
+        edges.extend(merged)
     edges.sort(key=lambda e: e.lam)
-    merged = []
-    for e in edges:
-        if merged and abs(e.lam - merged[-1].lam) <= 1e-9 * max(1.0, abs(e.lam)):
-            continue
-        merged.append(e)
-    return merged
+    return edges
 
 
 def _edge_hunt(m, nodes, vals, target, kind, steps):

@@ -1,15 +1,21 @@
 """Shooting integration of psi'' = psi/4 - lambda m psi across one or two periods.
 
-Smooth stretches use fixed-step classical RK4; stretches where the smooth part
-vanishes identically use the exact constant-coefficient propagator; delta atoms
-act through the jump psi' -> psi' - lambda p psi(q).  Trajectories are stored
+Smooth stretches use fixed-step classical RK4 in step-matrix form: one step
+over [x, x+h] is a 2x2 matrix built from c = 1/4 - lambda m at x, x+h/2 and
+x+h, with entries quadratic in lambda.  For one lambda a pairwise tree
+multiplies a stretch's step matrices; a batch of lambdas advances its columns
+step by step with the lambdas as vector lanes; a dense trajectory is a prefix
+scan.  Only rounding depends on the association: the scheme is RK4 and
+doubling the step count cuts its error by about 16.  Stretches where the
+smooth part vanishes identically use the exact propagator; delta atoms act
+through the jump psi' -> psi' - lambda p psi(q).  Trajectories are stored
 segment by segment with atom positions duplicated (pre/post derivative).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -74,22 +80,15 @@ class SolutionTrajectory:
         if self.periods == 1:
             return self
         stop = self.period_stride
-        return SolutionTrajectory(
-            lam=self.lam, xs=self.xs[:stop], psi=self.psi[:stop], dpsi=self.dpsi[:stop],
-            segments=self.segments[: self.segments_per_period], periods=1,
-            steps=self.steps, period_stride=stop,
-            segments_per_period=self.segments_per_period)
+        return replace(self, xs=self.xs[:stop], psi=self.psi[:stop], dpsi=self.dpsi[:stop],
+                       segments=self.segments[: self.segments_per_period], periods=1)
 
     def combine(self, other, coeff):
         """Trajectory of self + coeff * other (same lam, same grid)."""
         if other.lam != self.lam or other.xs.shape != self.xs.shape:
             raise ValueError("trajectories live on different grids or spectral points")
-        return SolutionTrajectory(
-            lam=self.lam, xs=self.xs,
-            psi=self.psi + coeff * other.psi, dpsi=self.dpsi + coeff * other.dpsi,
-            segments=self.segments, periods=self.periods, steps=self.steps,
-            period_stride=self.period_stride,
-            segments_per_period=self.segments_per_period)
+        return replace(self, psi=self.psi + coeff * other.psi,
+                       dpsi=self.dpsi + coeff * other.dpsi)
 
     def value_at(self, x):
         """psi at a stored grid position (exact match required)."""
@@ -99,24 +98,17 @@ class SolutionTrajectory:
         return float(self.psi[idx[0]])
 
 
-def _segment_breaks(m, x0, x1):
+def _segment_breaks(atoms, x0, x1):
     """Atom crossing positions in [x0, x1), ordered."""
-    breaks = []
-    for atom in m.atoms:
-        k = math.ceil(x0 - atom.q)
-        pos = atom.q + k
-        while pos < x1 - 1e-14:
-            if pos >= x0 - 1e-14:
-                breaks.append((max(pos, x0), atom.p))
-            pos += 1.0
-    breaks.sort(key=lambda t: t[0])
-    return breaks
+    return sorted((max(a.q + k, x0), a.p) for a in atoms
+                  for k in range(math.ceil(x0 - a.q), math.ceil(x1 - 1e-14 - a.q)))
 
 
-def _segment_steps(steps, length):
-    # even count so Simpson applies segment-wise
-    n = max(2, int(math.ceil(steps * length)))
-    return n + (n % 2)
+def _segment(steps, a, b):
+    # even step count so Simpson applies segment-wise; returns (n, h)
+    n = max(2, int(math.ceil(steps * (b - a))))
+    n += n % 2
+    return n, (b - a) / n
 
 
 def _check_guard(psi, dpsi):
@@ -126,66 +118,113 @@ def _check_guard(psi, dpsi):
         raise BlowUpError("trajectory exceeded the overflow guard 1e300")
 
 
-# ---------------------------------------------------------------------------
-# RK4 cores.  The scalar pair core advances (y1, y2) columns together; the
-# batched core advances one column for an array of lambdas (and optionally an
-# array-valued coefficient, used by the finite-difference oracle).
-
-def _smooth_substeps(m, a, h, nsteps):
-    xs = a + 0.5 * h * np.arange(2 * nsteps + 1)
-    return m.smooth_value(xs)
-
-def _rk4_pair_dense(mvals, lam, h, p1, d1, p2, d2, out):
-    """Advance two states over len(out[0])-1 steps, storing every step point."""
-    xp1, xd1, xp2, xd2 = out
-    xp1[0], xd1[0], xp2[0], xd2[0] = p1, d1, p2, d2
-    six = h / 6.0
-    half = 0.5 * h
-    mv = mvals.tolist()
-    for i in range(len(xp1) - 1):
-        ca = 0.25 - lam * mv[2 * i]
-        cb = 0.25 - lam * mv[2 * i + 1]
-        cc = 0.25 - lam * mv[2 * i + 2]
-        # column 1
-        k1p = d1;            k1d = ca * p1
-        k2p = d1 + half * k1d; k2d = cb * (p1 + half * k1p)
-        k3p = d1 + half * k2d; k3d = cb * (p1 + half * k2p)
-        k4p = d1 + h * k3d;    k4d = cc * (p1 + h * k3p)
-        p1 = p1 + six * (k1p + 2.0 * (k2p + k3p) + k4p)
-        d1 = d1 + six * (k1d + 2.0 * (k2d + k3d) + k4d)
-        # column 2
-        k1p = d2;            k1d = ca * p2
-        k2p = d2 + half * k1d; k2d = cb * (p2 + half * k1p)
-        k3p = d2 + half * k2d; k3d = cb * (p2 + half * k2p)
-        k4p = d2 + h * k3d;    k4d = cc * (p2 + h * k3p)
-        p2 = p2 + six * (k1p + 2.0 * (k2p + k3p) + k4p)
-        d2 = d2 + six * (k1d + 2.0 * (k2d + k3d) + k4d)
-        xp1[i + 1], xd1[i + 1], xp2[i + 1], xd2[i + 1] = p1, d1, p2, d2
-    return p1, d1, p2, d2
-
-
-def _rk4_batch_endpoint(msub, lam, h, nsteps, psi, dpsi):
-    """Advance array states; msub[j] is m at a + j*h/2 (scalar or batch-shaped)."""
-    six = h / 6.0
-    half = 0.5 * h
-    for i in range(nsteps):
-        ca = 0.25 - lam * msub[2 * i]
-        cb = 0.25 - lam * msub[2 * i + 1]
-        cc = 0.25 - lam * msub[2 * i + 2]
-        k1p = dpsi;              k1d = ca * psi
-        k2p = dpsi + half * k1d; k2d = cb * (psi + half * k1p)
-        k3p = dpsi + half * k2d; k3d = cb * (psi + half * k2p)
-        k4p = dpsi + h * k3d;    k4d = cc * (psi + h * k3p)
-        psi = psi + six * (k1p + 2.0 * (k2p + k3p) + k4p)
-        dpsi = dpsi + six * (k1d + 2.0 * (k2d + k3d) + k4d)
+def _march(atoms, lam, psi, dpsi, x0, x1, advance):
+    """Carry Cauchy data from x0 to x1: advance(psi, dpsi, a, b) across each
+    atom-free stretch, psi' -> psi' - lam p psi at each atom (arrays change in
+    place).  Overflow ends as inf or nan, which the guard turns into BlowUpError.
+    """
+    pos = x0
+    for break_x, weight in _segment_breaks(atoms, x0, x1):
+        if break_x > pos:
+            psi, dpsi = advance(psi, dpsi, pos, break_x)
+            pos = break_x
+        dpsi -= lam * weight * psi
+    if x1 > pos:
+        psi, dpsi = advance(psi, dpsi, pos, x1)
+    _check_guard(psi, dpsi)
     return psi, dpsi
 
 
-def _exact_step(psi, dpsi, d):
-    """Exact propagator over a zero-coefficient stretch: psi'' = psi/4."""
-    ch = np.cosh(0.5 * d)
-    sh = np.sinh(0.5 * d)
-    return ch * psi + 2.0 * sh * dpsi, 0.5 * sh * psi + ch * dpsi
+def _exact_advance(psi, dpsi, a, b):
+    """Exact propagator over a zero-coefficient stretch (arrays change in place)."""
+    ch, sh = np.cosh(0.5 * (b - a)), np.sinh(0.5 * (b - a))
+    half = 0.5 * sh * psi
+    psi *= ch
+    psi += 2.0 * sh * dpsi
+    dpsi *= ch
+    dpsi += half
+    return psi, dpsi
+
+
+# ---------------------------------------------------------------------------
+# RK4 step matrices.  With c at x, x+h/2, x+h (ca, cb, cc), s = h^2/6 and
+# q = h^4/24, the four RK4 stages over [x, x+h] compose to I + D with
+#     d00 = s (ca + 2 cb) + q ca cb        d01 = h (1 + s cb)
+#     d10 = h (ca + 4 cb + cc) / 6 + (h s / 2) cb (ca + cc)
+#     d11 = s (2 cb + cc) + q cb cc
+# A matrix travels as I + D, D as rows (d00, d01, d10, d11): the identity is
+# never rounded into a step, so n equal steps do not gather n roundings of 1 + d.
+
+def _step_entries(ca, cb, cc, h):
+    """Rows of D from c at the three nodes: the steps of one lambda, or lanes."""
+    s = h * h / 6.0
+    q = h ** 4 / 24.0
+    return (s * (ca + 2.0 * cb) + q * ca * cb,
+            h + (h * s) * cb,
+            (h / 6.0) * (ca + 4.0 * cb + cc) + (0.5 * h * s) * cb * (ca + cc),
+            s * (2.0 * cb + cc) + q * cb * cc)
+
+
+def _step_polys(msub, h):
+    """Coefficients (n, 4, 3) of lambda^0, ^1, ^2 in the rows of D for c = 1/4 - lambda m
+    (msub: m at the 2n+1 nodes); a batch sharing m pays one matmul per step."""
+    ma, mb, mc = msub[0:-1:2], msub[1::2], msub[2::2]
+    s = h * h / 6.0
+    q = h ** 4 / 24.0
+    zero = np.zeros_like(mb)
+    diag = 0.75 * s + q / 16.0 + zero
+    polys = ((diag, -s * (ma + 2.0 * mb) - 0.25 * q * (ma + mb), q * ma * mb),
+             (h * (1.0 + 0.25 * s) + zero, -(h * s) * mb, zero),
+             (h * (0.25 + s / 16.0) + zero,
+              -(h / 6.0) * (ma + 4.0 * mb + mc) - (0.125 * h * s) * (ma + 2.0 * mb + mc),
+              (0.5 * h * s) * mb * (ma + mc)),
+             (diag, -s * (2.0 * mb + mc) - 0.25 * q * (mb + mc), q * mb * mc))
+    return np.moveaxis(np.array(polys), -1, 0)
+
+
+def _compose(a, b):
+    """D of (I + a)(I + b), b acting first."""
+    return (a[0] + b[0] + (a[0] * b[0] + a[1] * b[2]), a[1] + b[1] + (a[0] * b[1] + a[1] * b[3]),
+            a[2] + b[2] + (a[2] * b[0] + a[3] * b[2]), a[3] + b[3] + (a[2] * b[1] + a[3] * b[3]))
+
+
+def _apply(d, psi, dpsi):
+    """(I + d) applied to the column (psi, dpsi)."""
+    return psi + (d[0] * psi + d[1] * dpsi), dpsi + (d[2] * psi + d[3] * dpsi)
+
+
+def _step_rows(m, lam, a, h, n):
+    c = 0.25 - lam * m.smooth_value(a + 0.5 * h * np.arange(2 * n + 1))
+    return np.array(_step_entries(c[0:-1:2], c[1::2], c[2::2], h))
+
+
+def _tree_product(e):
+    """e[:, n-1] ... e[:, 0] for rows e of shape (4, n), multiplied pairwise."""
+    while e.shape[1] > 1:
+        k = e.shape[1] // 2
+        e = np.concatenate((_compose(e[:, 1:2 * k:2], e[:, 0:2 * k:2]), e[:, 2 * k:]), axis=1)
+    return e[:, 0]
+
+
+def _prefix_products(e):
+    """In place, e[:, k] <- e[:, k] ... e[:, 0] (Hillis-Steele inclusive scan)."""
+    shift = 1
+    while shift < e.shape[1]:
+        e[:, shift:] = _compose(e[:, shift:], e[:, :-shift])
+        shift *= 2
+    return e
+
+
+def _one_lambda(m, lam, steps):
+    """advance() for a single lambda: the tree product of each stretch."""
+    if m.smooth_is_zero:
+        return _exact_advance
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def advance(psi, dpsi, a, b):
+        n, h = _segment(steps, a, b)
+        return _apply(_tree_product(_step_rows(m, lam, a, h, n)), psi, dpsi)
+    return advance
 
 
 # ---------------------------------------------------------------------------
@@ -206,117 +245,66 @@ def propagate(m, lam, state, x1, steps=DEFAULT_STEPS):
     """
     if x1 < state.x:
         raise ValueError("backward propagation is not supported")
-    psi, dpsi = state.psi, state.dpsi
-    pos = state.x
-    exact = m.smooth_is_zero
-    for break_x, weight in _segment_breaks(m, state.x, x1):
-        if break_x > pos:
-            psi, dpsi = _advance(m, lam, psi, dpsi, pos, break_x, steps, exact)
-            pos = break_x
-        dpsi = dpsi - lam * weight * psi
-    if x1 > pos:
-        psi, dpsi = _advance(m, lam, psi, dpsi, pos, x1, steps, exact)
-    _check_guard(psi, dpsi)
-    return ShootingState(x=x1, psi=psi, dpsi=dpsi, lam=lam)
-
-
-def _advance(m, lam, psi, dpsi, a, b, steps, exact):
-    if exact:
-        return _exact_step(psi, dpsi, b - a)
-    nsteps = _segment_steps(steps, b - a)
-    h = (b - a) / nsteps
-    msub = _smooth_substeps(m, a, h, nsteps)
-    p, d = _rk4_batch_endpoint(msub.tolist(), lam, h, nsteps, psi, dpsi)
-    return p, d
+    psi, dpsi = _march(m.atoms, lam, state.psi, state.dpsi, state.x, x1,
+                       _one_lambda(m, lam, steps))
+    return ShootingState(x=x1, psi=float(psi), dpsi=float(dpsi), lam=lam)
 
 
 def solve_fundamental(m, lam, steps=DEFAULT_STEPS, periods=1):
     """Dense fundamental pair y1 (1,0) and y2 (0,1) over [0, periods].
 
     Returns two SolutionTrajectory objects sharing one grid: a uniform grid per
-    segment between atoms, atom positions stored twice (pre/post jump).
+    segment between atoms, atom positions stored twice (pre/post jump).  The
+    state after every step is the prefix product of the step matrices applied
+    to the state at the segment start.
     """
     if periods not in (1, 2):
         raise ValueError("periods must be 1 or 2")
-    breaks = _segment_breaks(m, 0.0, float(periods))
-    # build segment edges over the full range
-    edges = [0.0]
-    weights_at = {}
-    for pos, w in breaks:
-        if pos == 0.0:
-            weights_at[0.0] = w
-            continue
-        edges.append(pos)
-        weights_at[pos] = w
-    edges.append(float(periods))
-    if periods == 2 and 1.0 not in edges:
-        edges.append(1.0)
-        edges.sort()
+    grids, states = [], []
 
-    exact = m.smooth_is_zero
-    xs_parts, p1_parts, d1_parts, p2_parts, d2_parts = [], [], [], [], []
-    segments = []
-    idx = 0
-    p1, d1, p2, d2 = 1.0, 0.0, 0.0, 1.0
-    if 0.0 in weights_at:
-        d1 -= lam * weights_at[0.0] * p1
-        d2 -= lam * weights_at[0.0] * p2
-    for a, b in zip(edges, edges[1:]):
-        nsteps = _segment_steps(steps, b - a)
-        grid = a + (b - a) * np.arange(nsteps + 1) / nsteps
-        if exact:
-            ch = np.cosh(0.5 * (grid - a))
-            sh = np.sinh(0.5 * (grid - a))
-            sp1 = ch * p1 + 2.0 * sh * d1
-            sd1 = 0.5 * sh * p1 + ch * d1
-            sp2 = ch * p2 + 2.0 * sh * d2
-            sd2 = 0.5 * sh * p2 + ch * d2
-            p1, d1, p2, d2 = sp1[-1], sd1[-1], sp2[-1], sd2[-1]
+    @np.errstate(over="ignore", invalid="ignore")
+    def advance(psi, dpsi, a, b):
+        n, h = _segment(steps, a, b)
+        grid = a + (b - a) * np.arange(n + 1) / n
+        if m.smooth_is_zero:
+            ch, sh = np.cosh(0.5 * (grid - a)), np.sinh(0.5 * (grid - a))
+            d = (ch - 1.0, 2.0 * sh, 0.5 * sh, ch - 1.0)
         else:
-            h = (b - a) / nsteps
-            mvals = _smooth_substeps(m, a, h, nsteps)
-            sp1 = np.empty(nsteps + 1); sd1 = np.empty(nsteps + 1)
-            sp2 = np.empty(nsteps + 1); sd2 = np.empty(nsteps + 1)
-            p1, d1, p2, d2 = _rk4_pair_dense(mvals, lam, h, p1, d1, p2, d2,
-                                             (sp1, sd1, sp2, sd2))
-        xs_parts.append(grid)
-        p1_parts.append(sp1); d1_parts.append(sd1)
-        p2_parts.append(sp2); d2_parts.append(sd2)
-        segments.append((idx, idx + nsteps))
-        idx += nsteps + 1
-        if b in weights_at:
-            d1 -= lam * weights_at[b] * p1
-            d2 -= lam * weights_at[b] * p2
+            d = np.zeros((4, n + 1))
+            d[:, 1:] = _step_rows(m, lam, a, h, n)
+            d = _prefix_products(d)
+        # rows (y1, y2) of psi and of psi' at every grid point of the stretch
+        psi, dpsi = _apply(d, psi[:, None], dpsi[:, None])
+        grids.append(grid)
+        states.append(np.vstack((psi, dpsi)))
+        return psi[:, -1].copy(), dpsi[:, -1].copy()
 
-    xs = np.concatenate(xs_parts)
-    arr_p1 = np.concatenate(p1_parts); arr_d1 = np.concatenate(d1_parts)
-    arr_p2 = np.concatenate(p2_parts); arr_d2 = np.concatenate(d2_parts)
-    # post-jump rows at interior atom positions: overwrite the duplicated start
-    # of each following segment (concatenation already duplicates edge points,
-    # and the jump was applied between segments, so values are consistent).
-    _check_guard(arr_p1, arr_d1)
-    _check_guard(arr_p2, arr_d2)
-
-    n_segs = len(segments)
-    segs_per_period = n_segs // periods
-    stride = segments[segs_per_period - 1][1] + 1 if periods == 2 else len(xs)
-    common = dict(xs=xs, segments=tuple(segments), periods=periods, steps=steps,
-                  period_stride=stride, segments_per_period=segs_per_period)
-    t1 = SolutionTrajectory(lam=lam, psi=arr_p1, dpsi=arr_d1, **common)
-    t2 = SolutionTrajectory(lam=lam, psi=arr_p2, dpsi=arr_d2, **common)
-    return t1, t2
+    psi, dpsi = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+    for k in range(periods):
+        psi, dpsi = _march(m.atoms, lam, psi, dpsi, float(k), float(k + 1), advance)
+    sizes = np.cumsum([0] + [g.size for g in grids])
+    segments = tuple((int(i), int(j) - 1) for i, j in zip(sizes, sizes[1:]))
+    segments_per_period = len(segments) // periods
+    xs = np.concatenate(grids)
+    rows = np.hstack(states)
+    _check_guard(rows[:2], rows[2:])
+    stride = segments[segments_per_period - 1][1] + 1 if periods == 2 else len(xs)
+    common = dict(xs=xs, segments=segments, periods=periods, steps=steps,
+                  period_stride=stride, segments_per_period=segments_per_period)
+    return tuple(SolutionTrajectory(lam=lam, psi=rows[k], dpsi=rows[k + 2], **common)
+                 for k in (0, 1))
 
 
 def fundamental_matrix(m, lam, x=1.0, steps=DEFAULT_STEPS):
-    """Transfer matrix U(x, lam) from the identity at 0."""
+    """Transfer matrix U(x, lam) from the identity at 0: one product per stretch."""
     if not 0.0 <= x <= 2.0:
         raise ValueError("fundamental matrix is tracked over [0, 2] only")
     if x == 0.0:
         return FundamentalMatrix(x=0.0, lam=lam, y1=1.0, y2=0.0, dy1=0.0, dy2=1.0)
-    c1 = propagate(m, lam, ShootingState(0.0, 1.0, 0.0, lam), x, steps)
-    c2 = propagate(m, lam, ShootingState(0.0, 0.0, 1.0, lam), x, steps)
-    return FundamentalMatrix(x=x, lam=lam, y1=c1.psi, y2=c2.psi,
-                             dy1=c1.dpsi, dy2=c2.dpsi)
+    # columns y1, y2 ride as the real and imaginary parts of one scalar lane
+    psi, dpsi = _march(m.atoms, lam, 1.0 + 0.0j, 1.0j, 0.0, x, _one_lambda(m, lam, steps))
+    return FundamentalMatrix(x=x, lam=lam, y1=float(psi.real), y2=float(psi.imag),
+                             dy1=float(dpsi.real), dy2=float(dpsi.imag))
 
 
 def wronskian(state_a, state_b):
@@ -335,38 +323,58 @@ def trajectory_wronskian(ta, tb):
     return ta.psi * tb.dpsi - ta.dpsi * tb.psi
 
 
+def positive_part_vanishes(m, steps=DEFAULT_STEPS):
+    """True when no atom weight and no smooth value at an RK4 substep node is > 0.
+
+    Then c >= 1/4 at every node for lambda > 0, so every step-matrix entry is
+    positive and y2(1, lambda) > 0: no auxiliary point lies above lambda = 0.
+    """
+    peaks = [atom.p for atom in m.atoms]
+
+    def record(psi, dpsi, a, b):
+        n, h = _segment(steps, a, b)
+        peaks.append(np.max(m.smooth_value(a + 0.5 * h * np.arange(2 * n + 1))))
+        return psi, dpsi
+
+    _march(m.atoms, 0.0, 0.0, 0.0, 0.0, 1.0, record)
+    return max(peaks) <= 0.0
+
+
 # ---------------------------------------------------------------------------
 # batched endpoint maps over arrays of lambda (scan workhorse)
 
 def endpoint_column(m, lams, column=(0.0, 1.0), steps=DEFAULT_STEPS, x1=1.0):
     """Endpoint (psi, psi') at x1 for an array of spectral points.
 
-    column is the shared Cauchy data at 0; the smooth part is evaluated once
-    per substep and shared across the batch.
+    column is the Cauchy data (psi, psi') at 0 shared by the batch; a (2, k)
+    array holds k columns, which advance in one pass and give results with a
+    leading axis of length k.  Each step matrix is evaluated once per step for
+    the whole batch, as its lambda-polynomial coefficients times (1, lam, lam^2).
     """
     lams = np.asarray(lams, dtype=float)
-    psi = np.full(lams.shape, float(column[0]))
-    dpsi = np.full(lams.shape, float(column[1]))
-    pos = 0.0
-    exact = m.smooth_is_zero
-    for break_x, weight in _segment_breaks(m, 0.0, x1):
-        if break_x > pos:
-            psi, dpsi = _advance_batch(m, lams, psi, dpsi, pos, break_x, steps, exact)
-            pos = break_x
-        dpsi = dpsi - lams * weight * psi
-    if x1 > pos:
-        psi, dpsi = _advance_batch(m, lams, psi, dpsi, pos, x1, steps, exact)
-    _check_guard(psi, dpsi)
-    return psi, dpsi
+    psi, dpsi = (np.multiply.outer(c, np.ones(lams.shape)) for c in np.asarray(column, float))
+    shape = (4,) + lams.shape
 
+    def advance(psi, dpsi, a, b):
+        # _apply written out in place: no allocation per step
+        powers = np.stack((np.ones(lams.size), lams.ravel(), lams.ravel() ** 2))
+        n, h = _segment(steps, a, b)
+        polys = _step_polys(m.smooth_value(a + 0.5 * h * np.arange(2 * n + 1)), h)
+        d = np.empty((4, lams.size))
+        d00, d01, d10, d11 = d.reshape(shape)
+        inc, dinc, tmp = np.empty_like(psi), np.empty_like(psi), np.empty_like(psi)
+        for i in range(n):
+            np.matmul(polys[i], powers, out=d)
+            np.multiply(d00, psi, out=inc)
+            inc += np.multiply(d01, dpsi, out=tmp)
+            np.multiply(d10, psi, out=dinc)
+            dinc += np.multiply(d11, dpsi, out=tmp)
+            psi += inc
+            dpsi += dinc
+        return psi, dpsi
 
-def _advance_batch(m, lams, psi, dpsi, a, b, steps, exact):
-    if exact:
-        return _exact_step(psi, dpsi, b - a)
-    nsteps = _segment_steps(steps, b - a)
-    h = (b - a) / nsteps
-    msub = _smooth_substeps(m, a, h, nsteps)
-    return _rk4_batch_endpoint(msub, lams, h, nsteps, psi, dpsi)
+    return _march(m.atoms, lams, psi, dpsi, 0.0, x1,
+                  _exact_advance if m.smooth_is_zero else advance)
 
 
 def endpoint_column_variants(msub_fn, atoms, lams, column, steps, x0=0.0, x1=1.0):
@@ -374,28 +382,20 @@ def endpoint_column_variants(msub_fn, atoms, lams, column, steps, x0=0.0, x1=1.0
 
     msub_fn(x) must return the smooth-part values at x as an array matching
     lams (the finite-difference oracle passes one hat-perturbed variant per
-    batch member).  atoms is shared across variants.
+    batch member).  atoms is shared across variants.  Each step matrix comes
+    from the lanes' own c; msub_fn is called once per substep node.
     """
     lams = np.asarray(lams, dtype=float)
-    psi = np.full(lams.shape, float(column[0]))
-    dpsi = np.full(lams.shape, float(column[1]))
-    pos = x0
-    breaks = sorted((a.q + k, a.p) for a in atoms
-                    for k in range(math.ceil(x0 - a.q), math.ceil(x1 - a.q))
-                    if x0 - 1e-14 <= a.q + k < x1 - 1e-14)
-    for break_x, weight in breaks:
-        if break_x > pos:
-            psi, dpsi = _advance_variants(msub_fn, lams, psi, dpsi, pos, break_x, steps)
-            pos = break_x
-        dpsi = dpsi - lams * weight * psi
-    if x1 > pos:
-        psi, dpsi = _advance_variants(msub_fn, lams, psi, dpsi, pos, x1, steps)
-    _check_guard(psi, dpsi)
-    return psi, dpsi
+    psi, dpsi = (np.multiply.outer(c, np.ones(lams.shape)) for c in np.asarray(column, float))
 
+    def advance(psi, dpsi, a, b):
+        n, h = _segment(steps, a, b)
+        cc = 0.25 - lams * msub_fn(a)
+        for j in range(1, 2 * n, 2):
+            ca = cc
+            cb = 0.25 - lams * msub_fn(a + 0.5 * h * j)
+            cc = 0.25 - lams * msub_fn(a + 0.5 * h * (j + 1))
+            psi, dpsi = _apply(_step_entries(ca, cb, cc, h), psi, dpsi)
+        return psi, dpsi
 
-def _advance_variants(msub_fn, lams, psi, dpsi, a, b, steps):
-    nsteps = _segment_steps(steps, b - a)
-    h = (b - a) / nsteps
-    msub = [msub_fn(a + 0.5 * h * j) for j in range(2 * nsteps + 1)]
-    return _rk4_batch_endpoint(msub, lams, h, nsteps, psi, dpsi)
+    return _march(atoms, lams, psi, dpsi, x0, x1, advance)

@@ -1,10 +1,12 @@
 import json
 import math
+import os
 import subprocess
 import sys
 
 import pytest
 
+import chspectral
 from chspectral.cli import entry
 
 
@@ -160,9 +162,12 @@ def test_reruns_are_byte_identical(tmp_path):
 
 def test_module_invocation(tmp_path):
     cfg = write_config(tmp_path, CONST)
+    # the child imports the same package sources as this test process
+    src = os.path.dirname(os.path.dirname(chspectral.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "chspectral", "discriminant", "--config", cfg,
          "--lambda-min", "0", "--lambda-max", "1", "--count", "3"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0
     assert proc.stdout.startswith("lambda,delta")

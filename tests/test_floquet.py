@@ -1,6 +1,7 @@
 """Discriminant, multipliers, auxiliary spectrum, band edges, gap counting."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -223,6 +224,37 @@ def test_periodic_spectrum_near_edge_auxiliary_point():
     mu = auxiliary_spectrum(m, count=1)[0].mu
     assert lo < mu <= hi + 1e-5 * max(1.0, abs(hi))
     assert abs(mu - hi) < 1e-4
+
+
+def five_atoms():
+    # a band of this coefficient near 1173 is only 2.6e-7 wide
+    q = [0.03302392466573567, 0.12313365606638971, 0.1249063821776657,
+         0.17630437136812716, 0.503336447986407]
+    p = [2.6093319052813384, 1.5558797521750076, 0.7143698588566982,
+         2.075620767488474, 0.9444216575454945]
+    return make_coefficient({"smooth": {"kind": "const", "value": 0.0},
+                             "atoms": [{"q": a, "p": b} for a, b in zip(q, p)]})
+
+
+def test_periodic_spectrum_keeps_close_edges_of_both_kinds():
+    edges = periodic_spectrum(five_atoms(), 1100.0, 1200.0)
+    assert [e.kind for e in edges] == ["periodic", "antiperiodic"]
+    assert edges[0].lam == pytest.approx(1173.3637247263, abs=1e-9)
+    assert edges[1].lam == pytest.approx(1173.3637249907, abs=1e-9)
+    # Delta is a polynomial of degree 5: each of Delta = +-1 has five roots
+    edges = periodic_spectrum(five_atoms(), 1e-6, 1200.0)
+    assert sum(e.multiplicity for e in edges) == 10
+
+
+@pytest.mark.parametrize("spec", [
+    {"smooth": {"kind": "const", "value": -1.0}, "atoms": []},
+    {"smooth": {"kind": "const", "value": 0.0}, "atoms": [{"q": 0.3, "p": -1.0}]},
+], ids=["negative_const", "negative_atom"])
+def test_auxiliary_spectrum_without_positive_part_fails_fast(spec):
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="no positive part"):
+        auxiliary_spectrum(make_coefficient(spec), count=2)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_gap_check_constant_coefficient():

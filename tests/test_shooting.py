@@ -11,6 +11,7 @@ from chspectral.shooting import (
     ShootingState,
     delta_jump,
     endpoint_column,
+    endpoint_column_variants,
     fundamental_matrix,
     propagate,
     solve_fundamental,
@@ -223,3 +224,104 @@ def test_endpoint_column_matches_scalar():
 def test_blowup_guard():
     with pytest.raises(BlowUpError):
         fundamental_matrix(const_m(1.0), lam=-1e8, steps=256)
+
+
+# ---------------------------------------------------------------------------
+# the step-matrix kernels against plain stage-form RK4
+
+def stage_rk4(m, lam, steps):
+    """Both fundamental columns by classical RK4 stages, one step at a time.
+
+    Segments split at the atoms with an even step count of at least two, as
+    the integrator splits them; returns rows (y1, y2, y1', y2') at every grid
+    point, atom positions stored twice (pre/post jump).
+    """
+    cuts = sorted({0.0, 1.0, *(a.q for a in m.atoms)})
+    weight = {a.q: a.p for a in m.atoms}
+    p, d = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+    d = d - lam * weight.get(0.0, 0.0) * p
+    rows = []
+    for a, b in zip(cuts, cuts[1:]):
+        n = max(2, math.ceil(steps * (b - a)))
+        n += n % 2
+        h = (b - a) / n
+        c = 0.25 - lam * m.smooth_value(a + 0.5 * h * np.arange(2 * n + 1))
+        rows.append(np.concatenate((p, d)))
+        for ca, cb, cc in zip(c[0:-1:2], c[1::2], c[2::2]):
+            k1p, k1d = d, ca * p
+            k2p, k2d = d + 0.5 * h * k1d, cb * (p + 0.5 * h * k1p)
+            k3p, k3d = d + 0.5 * h * k2d, cb * (p + 0.5 * h * k2p)
+            k4p, k4d = d + h * k3d, cc * (p + h * k3p)
+            p = p + h / 6.0 * (k1p + 2.0 * (k2p + k3p) + k4p)
+            d = d + h / 6.0 * (k1d + 2.0 * (k2d + k3d) + k4d)
+            rows.append(np.concatenate((p, d)))
+        d = d - lam * weight.get(b, 0.0) * p
+    return np.array(rows).T
+
+
+REFERENCE_STEPS = 1024
+REFERENCE_LAMS = (-50.0, 0.3, 551.5, 1e4)
+# the atom at 0.999 leaves a 2-step segment; the other two segments have 380
+# and 646 steps, so the pairwise tree meets odd lengths (95, 323)
+REFERENCE_MEMBERS = {
+    "two_mode": {"smooth": {"kind": "fourier", "a0": 1.0, "cos": [0.25],
+                            "sin": [0.0, 0.1]}, "atoms": []},
+    "mixed": {"smooth": {"kind": "fourier", "a0": 1.0, "cos": [0.3], "sin": [0.0, 0.1]},
+              "atoms": [{"q": 0.37, "p": 0.6}, {"q": 0.999, "p": 0.4}]},
+}
+
+
+def assert_matches(got, want):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.fixture(scope="module", params=sorted(REFERENCE_MEMBERS))
+def reference(request):
+    m = make_coefficient(REFERENCE_MEMBERS[request.param])
+    return m, {lam: stage_rk4(m, lam, REFERENCE_STEPS) for lam in REFERENCE_LAMS}
+
+
+def test_single_lambda_kernels_match_stage_rk4(reference):
+    m, ref = reference
+    for lam, rows in ref.items():
+        y1, y2, dy1, dy2 = rows[:, -1]
+        U = fundamental_matrix(m, lam, steps=REFERENCE_STEPS)
+        assert_matches([U.y1, U.y2], [y1, y2])
+        assert_matches([U.dy1, U.dy2], [dy1, dy2])
+        for column, want in (((1.0, 0.0), (y1, dy1)), ((0.0, 1.0), (y2, dy2))):
+            end = propagate(m, lam, ShootingState(0.0, *column, lam), 1.0, REFERENCE_STEPS)
+            assert_matches([end.psi], [want[0]])
+            assert_matches([end.dpsi], [want[1]])
+
+
+def test_dense_pair_matches_stage_rk4(reference):
+    m, ref = reference
+    for lam, rows in ref.items():
+        t1, t2 = solve_fundamental(m, lam, steps=REFERENCE_STEPS)
+        for got, want in zip((t1.psi, t2.psi, t1.dpsi, t2.dpsi), rows):
+            assert got.shape == want.shape
+            assert_matches(got, want)
+
+
+def test_batched_kernels_match_stage_rk4(reference):
+    m, ref = reference
+    lams = np.array(REFERENCE_LAMS)
+    psi, dpsi = endpoint_column(m, lams, np.eye(2), REFERENCE_STEPS)
+    y2, dy2 = endpoint_column(m, lams, (0.0, 1.0), REFERENCE_STEPS)
+    vy2, vdy2 = endpoint_column_variants(
+        lambda x: np.full(lams.shape, m.smooth_value(x)), m.atoms, lams, (0.0, 1.0),
+        REFERENCE_STEPS)
+    for k, lam in enumerate(REFERENCE_LAMS):
+        want = ref[lam][:, -1]
+        assert_matches(psi[:, k], want[:2])
+        assert_matches(dpsi[:, k], want[2:])
+        assert_matches([y2[k], vy2[k]], [want[1]] * 2)
+        assert_matches([dy2[k], vdy2[k]], [want[3]] * 2)
+
+
+def test_det_one_at_large_lambda():
+    # RK4 itself drifts det U by about (h omega)^6 / 72 per step: 1.3e-8 over
+    # 4096 steps at lambda = 1e4, 1.3e-11 over 16384
+    m = make_coefficient(REFERENCE_MEMBERS["mixed"])
+    assert abs(fundamental_matrix(m, 1e4, steps=16384).det - 1.0) <= 1e-10
