@@ -203,7 +203,6 @@ class PeriodicCoefficient:
 
     smooth: object
     atoms: tuple[Atom, ...] = ()
-    period: float = 1.0
 
     @property
     def has_atoms(self):
@@ -316,11 +315,6 @@ def grid_points(n):
 def momentum_grid(m, n):
     """Samples of the smooth part of m on the n-grid (atoms reported separately)."""
     return GridFunction(n, m.smooth_value(grid_points(n)))
-
-
-def smooth_derivative_grid(m, n):
-    """Samples of m_s' on the n-grid."""
-    return GridFunction(n, m.smooth_derivative(grid_points(n)))
 
 
 def _helmholtz_symbol(n):

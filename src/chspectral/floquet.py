@@ -180,13 +180,17 @@ def auxiliary_spectrum(m, lam_min=GUARD_BAND, lam_max=None, count=None,
     return [_assemble_point(m, k + 1, mu, steps) for k, mu in enumerate(roots)]
 
 
+def _dirichlet(m, steps):
+    """lam -> y2(1, lam), whose zeros are the auxiliary points."""
+    def g(lam):
+        return propagate(m, lam, ShootingState(0.0, 0.0, 1.0, lam), 1.0, steps).psi
+    return g
+
+
 def _aux_roots(m, lo, hi, scan_steps, steps):
     nodes = _scan_nodes(lo, hi)
     vals, _ = endpoint_column(m, nodes, (0.0, 1.0), scan_steps)
-
-    def g(lam):
-        return propagate(m, lam, ShootingState(0.0, 0.0, 1.0, lam), 1.0, steps).psi
-
+    g = _dirichlet(m, steps)
     sign = np.sign(vals)
     roots = [float(nodes[j]) for j in np.nonzero(sign == 0.0)[0]]
     for j in np.nonzero(sign[:-1] * sign[1:] < 0.0)[0]:
@@ -207,34 +211,29 @@ def _assemble_point(m, index, mu, steps):
 
 def refine_point(m, point, steps):
     """Re-polish an auxiliary point at a different step count."""
-    def g(lam):
-        return propagate(m, lam, ShootingState(0.0, 0.0, 1.0, lam), 1.0, steps).psi
-
     w = max(1e-7, 1e-9 * max(1.0, abs(point.mu)))
-    mu = _polish_bracket(g, point.mu - w, point.mu + w, max_expand=8)
+    mu = _polish_bracket(_dirichlet(m, steps), point.mu - w, point.mu + w, max_expand=8)
     if mu is None:
         raise RuntimeError(f"lost the root near mu={point.mu:.12g} at steps={steps}")
-    pt = _assemble_point(m, point.index, mu, steps)
-    return pt
+    return _assemble_point(m, point.index, mu, steps)
 
 
-def second_floquet(m, point, steps=None, periods=2):
-    """Fundamental trajectories (y2, y) at mu over one or two periods.
+def second_floquet(m, point, steps=None):
+    """Fundamental trajectories (y2, y) at mu over one period [0, 1].
 
-    y2 carries multiplier rho; the returned companion y has y(0) = 1 and
-    multiplier 1/rho.  Away from band edges y = y1 + b y2 with
-    b = y1'(1) / (1/rho - rho).  At a band edge with U = +-I the first
+    y2 carries multiplier rho, y2(x+1) = rho y2(x); the returned companion y
+    has y(0) = 1 and multiplier 1/rho.  Away from band edges y = y1 + b y2
+    with b = y1'(1) / (1/rho - rho).  At a band edge with U = +-I the first
     fundamental solution is itself Floquet and comes back with b = 0; a
     nontrivial Jordan block admits no second Floquet solution and raises
-    JordanGapError.
+    JordanGapError before anything is integrated.
     """
-    steps = steps or point.steps
-    t1, t2 = solve_fundamental(m, point.mu, steps=steps, periods=periods)
+    if point.degenerate and abs(point.dy1_end) > JORDAN_TOL * max(1.0, abs(point.mu)):
+        raise JordanGapError(
+            f"monodromy at mu={point.mu:.8g} is a nontrivial Jordan block; "
+            "gradient of the multiplier is undefined there")
+    t1, t2 = solve_fundamental(m, point.mu, steps=steps or point.steps)
     if point.degenerate:
-        if abs(point.dy1_end) > JORDAN_TOL * max(1.0, abs(point.mu)):
-            raise JordanGapError(
-                f"monodromy at mu={point.mu:.8g} is a nontrivial Jordan block; "
-                "gradient of the multiplier is undefined there")
         return t2, t1, 0.0
     b = point.dy1_end / (1.0 / point.rho - point.rho)
     return t2, t1.combine(t2, b), b

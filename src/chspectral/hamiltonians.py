@@ -99,13 +99,8 @@ def bihamiltonian_residual(m, n=256):
     with the Helmholtz inverse acts as the single symbol (i 2 pi k) / 2.
     """
     _require_smooth(m, "the bi-Hamiltonian residual")
-    x = grid_points(n)
-    v, v1, _ = _velocity_derivatives(m, n)
-    j_side = 2.0 * m.smooth_value(x) * v1 + m.smooth_derivative(x) * v
-    k_side = _k_of_grad_h3(m, n)
-    res = float(np.max(np.abs(j_side - k_side)))
-    scale = float(np.max(np.abs(k_side)))
-    return res, scale
+    _, _, k_side, diff = hamiltonian_fields(m, n)
+    return float(np.max(np.abs(diff))), float(np.max(np.abs(k_side)))
 
 
 def hamiltonian_fields(m, n=256):

@@ -28,9 +28,6 @@ class VerificationReport:
         if not ok:
             self.passed = False
 
-    def max_residual(self):
-        return max((abs(r) for row in self.residuals for r in row), default=0.0)
-
     def to_dict(self):
         return {"identity": self.identity, "n": self.n,
                 "residuals": [[float(r) for r in row] for row in self.residuals],

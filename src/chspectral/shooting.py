@@ -1,4 +1,4 @@
-"""Shooting integration of psi'' = psi/4 - lambda m psi across one or two periods.
+"""Shooting integration of psi'' = psi/4 - lambda m psi across one period.
 
 Smooth stretches use fixed-step classical RK4 in step-matrix form: one step
 over [x, x+h] is a 2x2 matrix built from c = 1/4 - lambda m at x, x+h/2 and
@@ -8,8 +8,10 @@ step by step with the lambdas as vector lanes; a dense trajectory is a prefix
 scan.  Only rounding depends on the association: the scheme is RK4 and
 doubling the step count cuts its error by about 16.  Stretches where the
 smooth part vanishes identically use the exact propagator; delta atoms act
-through the jump psi' -> psi' - lambda p psi(q).  Trajectories are stored
-segment by segment with atom positions duplicated (pre/post derivative).
+through the jump psi' -> psi' - lambda p psi(q).  Trajectories cover [0, 1]
+and are stored segment by segment with atom positions duplicated (pre/post
+derivative).  The Floquet property y(x+1) = rho y(x) is a statement about
+U(1) alone, so nothing here integrates past one period.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ class FundamentalMatrix:
 
 @dataclass(frozen=True)
 class SolutionTrajectory:
-    """Dense (psi, psi') samples along segment grids over [0, periods].
+    """Dense (psi, psi') samples along segment grids over one period [0, 1].
 
     xs contains each atom position twice (pre- and post-jump row); segments
     lists inclusive index ranges (start, stop) of the uniform pieces.
@@ -70,18 +72,6 @@ class SolutionTrajectory:
     psi: np.ndarray
     dpsi: np.ndarray
     segments: tuple[tuple[int, int], ...]
-    periods: int
-    steps: int
-    period_stride: int
-    segments_per_period: int
-
-    def first_period(self):
-        """View restricted to [0, 1]."""
-        if self.periods == 1:
-            return self
-        stop = self.period_stride
-        return replace(self, xs=self.xs[:stop], psi=self.psi[:stop], dpsi=self.dpsi[:stop],
-                       segments=self.segments[: self.segments_per_period], periods=1)
 
     def combine(self, other, coeff):
         """Trajectory of self + coeff * other (same lam, same grid)."""
@@ -230,13 +220,6 @@ def _one_lambda(m, lam, steps):
 # ---------------------------------------------------------------------------
 # public operations
 
-def delta_jump(state, p):
-    """Cross an atom of weight p: psi continuous, psi' -> psi' - lam p psi."""
-    return ShootingState(x=state.x, psi=state.psi,
-                         dpsi=state.dpsi - state.lam * p * state.psi,
-                         lam=state.lam)
-
-
 def propagate(m, lam, state, x1, steps=DEFAULT_STEPS):
     """Advance Cauchy data from state.x to x1 (endpoint only).
 
@@ -250,16 +233,14 @@ def propagate(m, lam, state, x1, steps=DEFAULT_STEPS):
     return ShootingState(x=x1, psi=float(psi), dpsi=float(dpsi), lam=lam)
 
 
-def solve_fundamental(m, lam, steps=DEFAULT_STEPS, periods=1):
-    """Dense fundamental pair y1 (1,0) and y2 (0,1) over [0, periods].
+def solve_fundamental(m, lam, steps=DEFAULT_STEPS):
+    """Dense fundamental pair y1 (1,0) and y2 (0,1) over one period [0, 1].
 
     Returns two SolutionTrajectory objects sharing one grid: a uniform grid per
     segment between atoms, atom positions stored twice (pre/post jump).  The
     state after every step is the prefix product of the step matrices applied
     to the state at the segment start.
     """
-    if periods not in (1, 2):
-        raise ValueError("periods must be 1 or 2")
     grids, states = [], []
 
     @np.errstate(over="ignore", invalid="ignore")
@@ -279,26 +260,20 @@ def solve_fundamental(m, lam, steps=DEFAULT_STEPS, periods=1):
         states.append(np.vstack((psi, dpsi)))
         return psi[:, -1].copy(), dpsi[:, -1].copy()
 
-    psi, dpsi = np.array([1.0, 0.0]), np.array([0.0, 1.0])
-    for k in range(periods):
-        psi, dpsi = _march(m.atoms, lam, psi, dpsi, float(k), float(k + 1), advance)
+    _march(m.atoms, lam, np.array([1.0, 0.0]), np.array([0.0, 1.0]), 0.0, 1.0, advance)
     sizes = np.cumsum([0] + [g.size for g in grids])
     segments = tuple((int(i), int(j) - 1) for i, j in zip(sizes, sizes[1:]))
-    segments_per_period = len(segments) // periods
     xs = np.concatenate(grids)
     rows = np.hstack(states)
     _check_guard(rows[:2], rows[2:])
-    stride = segments[segments_per_period - 1][1] + 1 if periods == 2 else len(xs)
-    common = dict(xs=xs, segments=segments, periods=periods, steps=steps,
-                  period_stride=stride, segments_per_period=segments_per_period)
-    return tuple(SolutionTrajectory(lam=lam, psi=rows[k], dpsi=rows[k + 2], **common)
-                 for k in (0, 1))
+    return tuple(SolutionTrajectory(lam=lam, xs=xs, psi=rows[k], dpsi=rows[k + 2],
+                                    segments=segments) for k in (0, 1))
 
 
 def fundamental_matrix(m, lam, x=1.0, steps=DEFAULT_STEPS):
-    """Transfer matrix U(x, lam) from the identity at 0: one product per stretch."""
-    if not 0.0 <= x <= 2.0:
-        raise ValueError("fundamental matrix is tracked over [0, 2] only")
+    """Transfer matrix U(x, lam) for x in one period [0, 1]: one product per stretch."""
+    if not 0.0 <= x <= 1.0:
+        raise ValueError("fundamental matrix is tracked over one period [0, 1] only")
     if x == 0.0:
         return FundamentalMatrix(x=0.0, lam=lam, y1=1.0, y2=0.0, dy1=0.0, dy2=1.0)
     # columns y1, y2 ride as the real and imaginary parts of one scalar lane

@@ -56,7 +56,7 @@ def _lemma_trajectories(m, pt, steps):
     t1, t2 = solve_fundamental(m, pt.mu, steps=steps)
     names = [("y1", t1), ("y2", t2)]
     try:
-        _, y, b = second_floquet(m, pt, steps=steps, periods=1)
+        _, y, b = second_floquet(m, pt, steps=steps)
     except JordanGapError:
         return names
     if pt.degenerate and b == 0.0:

@@ -18,19 +18,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .brackets import ProductField
-from .coefficient import perturb
 from .floquet import second_floquet
 from .quadrature import grid_integral, trajectory_integral
-from .shooting import (
-    DEFAULT_STEPS,
-    ShootingState,
-    endpoint_column_variants,
-    propagate,
-    solve_fundamental,
-)
+from .shooting import endpoint_column_variants, solve_fundamental
 
 VANISH_GUARD = 1e-12
 _CHEB_NODES = np.cos(np.pi * (np.arange(8) + 0.5) / 8.0)
@@ -38,8 +30,6 @@ _CHEB_NODES = np.cos(np.pi * (np.arange(8) + 0.5) / 8.0)
 
 def weighted_integral(m, ta, tb):
     """integral of m psi_a psi_b over one period, delta atoms included."""
-    ta = ta.first_period()
-    tb = tb.first_period()
     ms = np.asarray(m.smooth_value(ta.xs), dtype=float)
     total = grid_integral(ta.xs, ms * ta.psi * tb.psi, ta.segments)
     for atom in m.atoms:
@@ -65,7 +55,6 @@ def positivity_residual(m, point, t2=None, steps=None):
     steps = steps or point.steps
     if t2 is None:
         _, t2 = solve_fundamental(m, point.mu, steps=steps)
-    t2 = t2.first_period()
     lhs = point.mu * weighted_integral(m, t2, t2)
     rhs = trajectory_integral(t2, (0.5 * t2.psi) ** 2 + t2.dpsi ** 2)
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs))
@@ -107,7 +96,7 @@ def gradient_bundle(m, point, steps=None):
     still differentiable and log|rho| is taken as exactly zero.
     """
     steps = steps or point.steps
-    t2, y, b = second_floquet(m, point, steps=steps, periods=1)
+    t2, y, b = second_floquet(m, point, steps=steps)
     a = norming_constant(m, t2)
     bb = weighted_integral(m, t2, y)
     mu = point.mu
@@ -208,29 +197,16 @@ def _variant_roots(m, mu, d, lam_flat, msub_fn, steps):
     return roots
 
 
-def _scalar_root(m_var, mu, d, steps):
-    def g(lam):
-        return propagate(m_var, lam, ShootingState(0.0, 0.0, 1.0, lam), 1.0, steps).psi
-
-    a, b = mu - d, mu + d
-    fa, fb = g(a), g(b)
-    tries = 0
-    while fa * fb > 0.0 and tries < 6:
-        a, b = a - d, b + d
-        fa, fb = g(a), g(b)
-        tries += 1
-    if fa * fb > 0.0:
-        raise RuntimeError(f"lost the perturbed root near mu={mu:.8g}")
-    return brentq(g, a, b, xtol=1e-13, rtol=8.9e-16)
-
-
 def verify_gradients(m, point, n=256, eps=1e-5, steps=None, sites=None):
     """Compare each gradient against centered differences over hat bumps.
 
     For every requested grid site, the smooth part is perturbed by
     +-eps * hat (the hat has unit mass and width 2/n) and mu, log|rho|, f, g
     are recomputed; the centered quotients approximate the gradient fields at
-    the site up to the O(1/n^2) smearing of the hat.
+    the site up to the O(1/n^2) smearing of the hat.  Each perturbed mu moves
+    by about eps max|grad mu| <= d/50, well inside the interpolation interval
+    [mu - d, mu + d]; a variant whose root is lost there raises RuntimeError
+    naming mu and the site.
     """
     steps = steps or point.steps
     if steps % n:
@@ -246,29 +222,23 @@ def verify_gradients(m, point, n=256, eps=1e-5, steps=None, sites=None):
     gm_max = float(np.max(np.abs(bundle.grad_mu.values)))
     d = max(1e-3 * max(1.0, abs(mu)), 50.0 * eps * max(gm_max, 1.0))
     lam_flat = np.tile(mu + d * _CHEB_NODES, 2 * nsite)
-    centers = xq
 
     def msub_fn(x):
+        # smooth part of each variant at x: m + eps hat, then m - eps hat, per site
         base = float(m.smooth_value(x))
-        dist = np.abs(np.mod(x - centers + 0.5, 1.0) - 0.5)
-        hats = n * np.clip(1.0 - n * dist, 0.0, None)
-        per_variant = base + eps * np.concatenate((hats, -hats))
-        return np.repeat(per_variant, 8)
-
-    roots = _variant_roots(m, mu, d, lam_flat, msub_fn, steps)
-    for v in np.nonzero(np.isnan(roots))[0]:
-        site = sites[v % nsite]
-        sign = 1.0 if v < nsite else -1.0
-        roots[v] = _scalar_root(perturb(m, site, n, sign * eps), mu, d, steps)
-
-    def msub_single(x):
-        base = float(m.smooth_value(x))
-        dist = np.abs(np.mod(x - centers + 0.5, 1.0) - 0.5)
+        dist = np.abs(np.mod(x - xq + 0.5, 1.0) - 0.5)
         hats = n * np.clip(1.0 - n * dist, 0.0, None)
         return base + eps * np.concatenate((hats, -hats))
 
+    roots = _variant_roots(m, mu, d, lam_flat, lambda x: np.repeat(msub_fn(x), 8), steps)
+    lost = np.nonzero(np.isnan(roots))[0]
+    if lost.size:
+        v = int(lost[0])
+        raise RuntimeError(f"lost the perturbed root near mu={mu:.8g} at site "
+                           f"{int(sites[v % nsite])} ({'+' if v < nsite else '-'}eps)")
+
     # one more sweep exactly at the perturbed roots gives the multipliers
-    _, dpsi = endpoint_column_variants(msub_single, m.atoms, roots, (0.0, 1.0), steps)
+    _, dpsi = endpoint_column_variants(msub_fn, m.atoms, roots, (0.0, 1.0), steps)
     mu_p, mu_m = roots[:nsite], roots[nsite:]
     rho_p, rho_m = dpsi[:nsite], dpsi[nsite:]
     log_p, log_m = np.log(np.abs(rho_p)), np.log(np.abs(rho_m))

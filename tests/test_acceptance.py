@@ -135,7 +135,7 @@ def _lemma_deviation(m, points, steps):
     for p in points:
         pt = refine_point(m, p, steps)
         t1, t2 = solve_fundamental(m, pt.mu, steps=steps)
-        _, y, _ = second_floquet(m, pt, steps=steps, periods=1)
+        _, y, _ = second_floquet(m, pt, steps=steps)
         for ta in (t1, t2, y):
             for tb in (t1, t2, y):
                 res, scale = lemma_residual(m, ProductField.from_trajectories(m, ta, tb))

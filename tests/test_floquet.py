@@ -6,6 +6,7 @@ import time
 import numpy as np
 import pytest
 
+from chspectral import floquet
 from chspectral.coefficient import make_coefficient
 from chspectral.floquet import (
     JordanGapError,
@@ -146,14 +147,21 @@ def test_refine_point_tracks_root():
     assert finer.mu == pytest.approx(pt.mu, rel=1e-8)
 
 
+def ends(t):
+    """Cauchy data (psi, psi') at x = 0 and at x = 1."""
+    return np.array([t.psi[0], t.dpsi[0]]), np.array([t.psi[-1], t.dpsi[-1]])
+
+
 def test_second_floquet_multiplier_property():
-    # y2(x+1) = rho y2(x), y(x+1) = y(x)/rho, wronskian -1, y(0) = 1
+    # y2(x+1) = rho y2(x), y(x+1) = y(x)/rho, wronskian -1, y(0) = 1; the
+    # Floquet property is U(1) acting on the data at 0
     m = peakon(1.0, 0.3)
     pt = auxiliary_spectrum(m, lam_max=20.0)[0]
-    t2, y, b = second_floquet(m, pt, periods=2)
-    stride = t2.period_stride
-    np.testing.assert_allclose(t2.psi[stride:], pt.rho * t2.psi[:stride], atol=1e-10)
-    np.testing.assert_allclose(y.psi[stride:], y.psi[:stride] / pt.rho, atol=1e-9)
+    t2, y, b = second_floquet(m, pt)
+    start, end = ends(t2)
+    np.testing.assert_allclose(end, pt.rho * start, atol=1e-10)
+    start, end = ends(y)
+    np.testing.assert_allclose(end, start / pt.rho, atol=1e-9)
     assert y.psi[0] == 1.0
     w = trajectory_wronskian(t2, y)
     np.testing.assert_allclose(w, -1.0, atol=1e-10)
@@ -163,10 +171,9 @@ def test_second_floquet_smooth_member():
     m = two_mode()
     pt = auxiliary_spectrum(m, count=1)[0]
     assert not pt.degenerate
-    t2, y, b = second_floquet(m, pt, periods=2)
-    stride = t2.period_stride
-    np.testing.assert_allclose(y.psi[stride:], y.psi[:stride] / pt.rho,
-                               atol=1e-7 * np.max(np.abs(y.psi)))
+    t2, y, b = second_floquet(m, pt)
+    start, end = ends(y)
+    np.testing.assert_allclose(end, start / pt.rho, atol=1e-7 * np.max(np.abs(y.psi)))
     w = trajectory_wronskian(t2, y)
     np.testing.assert_allclose(w, -1.0, atol=1e-8 * max(1.0, np.max(np.abs(w))))
 
@@ -175,15 +182,23 @@ def test_second_floquet_band_edge_identity_monodromy():
     # m = 1 at mu_n: U = +-I, first fundamental solution is already Floquet
     m = const_m(1.0)
     pt = auxiliary_spectrum(m, count=1)[0]
-    t2, y, b = second_floquet(m, pt, periods=2)
+    t2, y, b = second_floquet(m, pt)
     assert b == 0.0
     omega = math.sqrt(pt.mu - 0.25)
     np.testing.assert_allclose(y.psi, np.cos(omega * y.xs), atol=1e-8)
+    start, end = ends(y)
+    np.testing.assert_allclose(end, start / pt.rho, atol=1e-8)
 
 
-def test_second_floquet_jordan_rejected():
+def test_second_floquet_jordan_rejected(monkeypatch):
     m = peakon(1.0, 0.5)
     pt = auxiliary_spectrum(m, lam_max=20.0)[0]
+
+    def no_integration(*args, **kwargs):
+        raise AssertionError("integrated before rejecting the Jordan block")
+
+    # the Jordan test reads the stored point, so nothing is integrated
+    monkeypatch.setattr(floquet, "solve_fundamental", no_integration)
     with pytest.raises(JordanGapError):
         second_floquet(m, pt)
 

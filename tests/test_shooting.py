@@ -9,7 +9,6 @@ from chspectral.coefficient import make_coefficient
 from chspectral.shooting import (
     BlowUpError,
     ShootingState,
-    delta_jump,
     endpoint_column,
     endpoint_column_variants,
     fundamental_matrix,
@@ -33,14 +32,6 @@ def exact_zero_propagator(d):
     # psi'' = psi/4 over a stretch of length d
     ch, sh = math.cosh(d / 2), math.sinh(d / 2)
     return np.array([[ch, 2 * sh], [sh / 2, ch]])
-
-
-def test_delta_jump():
-    s = ShootingState(x=0.3, psi=2.0, dpsi=0.5, lam=3.0)
-    out = delta_jump(s, p=0.4)
-    assert out.psi == 2.0
-    assert out.dpsi == pytest.approx(0.5 - 3.0 * 0.4 * 2.0)
-    assert out.x == 0.3 and out.lam == 3.0
 
 
 def test_zero_momentum_transfer_matrix():
@@ -185,22 +176,16 @@ def test_trajectory_atom_rows():
     assert len(t1.segments) == 2
 
 
-def test_two_period_trajectory():
+def test_one_period_trajectory():
+    # the dense pair ends at x = 1 on the columns of the monodromy U(1)
     m = const_m(1.0)
     lam = 3.0
-    t1, t2 = solve_fundamental(m, lam, steps=256, periods=2)
-    assert t2.xs[-1] == 2.0
-    stride = t2.period_stride
-    assert t2.xs[stride - 1] == 1.0
-    # second-period endpoint equals U^2 acting on the starting column
+    t1, t2 = solve_fundamental(m, lam, steps=256)
+    assert t1.xs[-1] == t2.xs[-1] == 1.0
     U = fundamental_matrix(m, lam, steps=256)
-    M = np.array([[U.y1, U.y2], [U.dy1, U.dy2]])
-    end = M @ M @ np.array([0.0, 1.0])
-    assert t2.psi[-1] == pytest.approx(end[0], rel=1e-10)
-    assert t2.dpsi[-1] == pytest.approx(end[1], rel=1e-10)
-    first = t2.first_period()
-    assert first.xs[-1] == 1.0
-    assert first.psi[-1] == pytest.approx(U.y2, rel=1e-12)
+    for t, column in ((t1, (U.y1, U.dy1)), (t2, (U.y2, U.dy2))):
+        assert t.psi[-1] == pytest.approx(column[0], rel=1e-12)
+        assert t.dpsi[-1] == pytest.approx(column[1], rel=1e-12)
 
 
 def test_combine_trajectories():

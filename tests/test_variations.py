@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from chspectral import variations
 from chspectral.coefficient import make_coefficient
 from chspectral.floquet import JordanGapError, auxiliary_spectrum
 from chspectral.shooting import solve_fundamental, trajectory_wronskian
@@ -190,6 +191,21 @@ def test_verify_gradients_site_subset():
     assert chk.sites.tolist() == [3, 17, 40]
     assert chk.fd_mu.shape == (3,)
     assert chk.rel_mu < 5e-4
+
+
+def test_verify_gradients_lost_root_names_site(monkeypatch):
+    m = const_m(1.0)
+    pt = auxiliary_spectrum(m, count=1, steps=512)[0]
+
+    def lose_one(m, mu, d, lam_flat, msub_fn, steps):
+        # variants run +eps over the sites, then -eps: index 4 is site 17, -eps
+        roots = np.full(lam_flat.size // 8, mu)
+        roots[4] = np.nan
+        return roots
+
+    monkeypatch.setattr(variations, "_variant_roots", lose_one)
+    with pytest.raises(RuntimeError, match=r"mu=.* at site 17 \(-eps\)"):
+        verify_gradients(m, pt, n=64, eps=1e-5, steps=512, sites=[3, 17, 40])
 
 
 def test_verify_gradients_grid_mismatch():
