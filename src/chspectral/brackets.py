@@ -17,9 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .floquet import auxiliary_spectrum
 from .quadrature import grid_integral
-from .shooting import DEFAULT_STEPS
 
 
 class BracketDomainError(ValueError):
@@ -163,20 +161,15 @@ def log_multiplier_matrix(m, bundles):
     return out
 
 
-def conjugacy_matrix(m, bundles=None, count=3, steps=DEFAULT_STEPS, which="first"):
-    """Full 2N x 2N pairing matrix of (mu_1..N, F_1..N).
+def conjugacy_matrix(m, bundles=(), which="first"):
+    """Full 2N x 2N pairing matrix of (mu_1..N, F_1..N) from N gradient bundles.
 
     which = "first" pairs mu with f = -log|rho| / mu^2 under the first
     bracket; which = "second" pairs mu with g = -log|rho| / mu^3 under the
     second.  Canonical conjugacy means the result is [[0, I], [-I, 0]].
     """
-    from .variations import gradient_bundle  # deferred: variations imports this module
-
     if which not in ("first", "second"):
         raise ValueError("which must be 'first' or 'second'")
-    if bundles is None:
-        points = auxiliary_spectrum(m, count=count, steps=steps)
-        bundles = [gradient_bundle(m, pt, steps=steps) for pt in points]
     fields = [b.grad_mu for b in bundles]
     fields += [b.grad_f if which == "first" else b.grad_g for b in bundles]
     n2 = len(fields)

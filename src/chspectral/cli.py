@@ -15,21 +15,25 @@ import sys
 import numpy as np
 
 from .coefficient import CoefficientError, load_coefficient
-from .corpus import CorpusMember, default_corpus
+from .corpus import CorpusMember
 from .floquet import (
     GUARD_BAND,
     auxiliary_spectrum,
     discriminant_sweep,
     periodic_spectrum,
 )
-from .hamiltonians import SmoothDomainError, hamiltonian_fields
+from .hamiltonians import SmoothDomainError
 from .shooting import DEFAULT_STEPS
 from .suites import SUITE_NAMES, run_suite
-from .variations import gradient_bundle, gradient_table
 
 
 def _g(x):
     return format(float(x), ".17g")
+
+
+def _csv(header, columns):
+    lines = [header] + [",".join(_g(c) for c in row) for row in zip(*columns)]
+    return "\n".join(lines) + "\n"
 
 
 def _fail(message):
@@ -112,12 +116,11 @@ def cmd_discriminant(args):
     lo = 0.0 if args.lambda_min is None else args.lambda_min
     hi = 50.0 if args.lambda_max is None else args.lambda_max
     count = 200 if args.count is None else args.count
-    lines = ["lambda,delta"]
+    columns = ()
     if hi > lo:
         lams = np.linspace(lo, hi, count)
-        deltas = discriminant_sweep(m, lams, steps=args.steps)
-        lines += [f"{_g(lam)},{_g(d)}" for lam, d in zip(lams, deltas)]
-    _emit("\n".join(lines) + "\n", args.out, "discriminant.csv")
+        columns = (lams, discriminant_sweep(m, lams, steps=args.steps))
+    _emit(_csv("lambda,delta", columns), args.out, "discriminant.csv")
     return 0
 
 
@@ -144,44 +147,6 @@ def cmd_spectrum(args):
     return 0
 
 
-def _gradient_csv(m, n, count, steps):
-    pts = auxiliary_spectrum(m, count=count, steps=steps)
-    pt = next((p for p in pts if not p.degenerate), None)
-    if pt is None:
-        return None
-    bundle = gradient_bundle(m, pt, steps=steps)
-    xs, d_mu, d_log, d_f, d_g = gradient_table(bundle, n)
-    lines = ["x,d_mu,d_logrho,d_f,d_g"]
-    lines += [",".join(_g(c) for c in row)
-              for row in zip(xs, d_mu, d_log, d_f, d_g)]
-    return "\n".join(lines) + "\n"
-
-
-def _fields_csv(m, n):
-    xs, j_side, k_side, diff = hamiltonian_fields(m, n)
-    lines = ["x,j_gradh2,k_gradh3,residual"]
-    lines += [",".join(_g(c) for c in row)
-              for row in zip(xs, j_side, k_side, diff)]
-    return "\n".join(lines) + "\n"
-
-
-def _verify_artifacts(args, members, suites_run):
-    members = default_corpus() if members is None else members
-    if "gradients" in suites_run:
-        for member in members:
-            csv = _gradient_csv(member.m, args.n,
-                                3 if args.count is None else args.count,
-                                args.steps)
-            if csv is not None:
-                _emit(csv, args.out, f"gradients_{member.name}.csv")
-    if "hamiltonian" in suites_run:
-        for member in members:
-            if member.m.has_atoms:
-                continue
-            _emit(_fields_csv(member.m, args.n), args.out,
-                  f"hamiltonian_{member.name}.csv")
-
-
 def cmd_verify(args):
     if args.config:
         try:
@@ -206,7 +171,8 @@ def cmd_verify(args):
             path = _emit(report.to_json() + "\n", args.out, f"verify_{name}.json")
             state = "PASS" if report.passed else "FAIL"
             print(f"{name}: {state} ({len(report.residuals)} cases) -> {path}")
-        _verify_artifacts(args, members, [name for name, _ in results])
+            for stem, (header, columns) in report.tables.items():
+                _emit(_csv(header, columns), args.out, f"{stem}.csv")
     else:
         docs = [report.to_dict() for _, report in results]
         payload = docs[0] if len(docs) == 1 else docs

@@ -167,13 +167,14 @@ def auxiliary_spectrum(m, lam_min=GUARD_BAND, lam_max=None, count=None,
     lo = float(lam_min)
     hi = float(lam_max) if lam_max is not None else max(2.0 * lo, lo + 50.0)
     scan_steps = max(256, steps // 8)
-    roots = []
-    for _ in range(12):
-        roots = _aux_roots(m, lo, hi, scan_steps, steps)
-        if count is None or len(roots) >= count or lam_max is not None:
+    roots = _aux_roots(m, lo, hi, scan_steps, steps)
+    for _ in range(11):
+        if lam_max is not None or len(roots) >= count:
             break
-        hi *= 2.0
-    if count is not None and len(roots) < count and lam_max is None:
+        # grow upward by the rule that set the first window; scan only the new part
+        lo, hi = hi, max(2.0 * hi, hi + 50.0)
+        roots = _dedupe(roots + _aux_roots(m, lo, hi, scan_steps, steps))
+    if lam_max is None and len(roots) < count:
         raise RuntimeError(f"found only {len(roots)} auxiliary points below lambda={hi:g}")
     if count is not None:
         roots = roots[:count]
@@ -219,14 +220,15 @@ def refine_point(m, point, steps):
 
 
 def second_floquet(m, point, steps=None):
-    """Fundamental trajectories (y2, y) at mu over one period [0, 1].
+    """Trajectories (y1, y2, y, b) at mu over one period [0, 1].
 
-    y2 carries multiplier rho, y2(x+1) = rho y2(x); the returned companion y
-    has y(0) = 1 and multiplier 1/rho.  Away from band edges y = y1 + b y2
-    with b = y1'(1) / (1/rho - rho).  At a band edge with U = +-I the first
-    fundamental solution is itself Floquet and comes back with b = 0; a
-    nontrivial Jordan block admits no second Floquet solution and raises
-    JordanGapError before anything is integrated.
+    y1, y2 are the fundamental pair it integrates, returned so that callers
+    need not integrate them again.  y2 carries multiplier rho, y2(x+1) =
+    rho y2(x); the companion y has y(0) = 1 and multiplier 1/rho.  Away from
+    band edges y = y1 + b y2 with b = y1'(1) / (1/rho - rho).  At a band edge
+    with U = +-I the first fundamental solution is itself Floquet and comes
+    back as y with b = 0; a nontrivial Jordan block admits no second Floquet
+    solution and raises JordanGapError before anything is integrated.
     """
     if point.degenerate and abs(point.dy1_end) > JORDAN_TOL * max(1.0, abs(point.mu)):
         raise JordanGapError(
@@ -234,9 +236,9 @@ def second_floquet(m, point, steps=None):
             "gradient of the multiplier is undefined there")
     t1, t2 = solve_fundamental(m, point.mu, steps=steps or point.steps)
     if point.degenerate:
-        return t2, t1, 0.0
+        return t1, t2, t1, 0.0
     b = point.dy1_end / (1.0 / point.rho - point.rho)
-    return t2, t1.combine(t2, b), b
+    return t1, t2, t1.combine(t2, b), b
 
 
 def periodic_spectrum(m, lam_min, lam_max, steps=DEFAULT_STEPS):

@@ -11,7 +11,9 @@ class VerificationReport:
     """Outcome of one numerical identity check.
 
     residuals is a list of rows (one row per case, one entry per quantity);
-    passed means every residual met the stated tolerance.
+    passed means every residual met the stated tolerance.  tables maps an
+    artifact name to (CSV header, columns) computed by the check itself;
+    like labels and notes it stays out of the JSON report.
     """
 
     identity: str
@@ -21,6 +23,7 @@ class VerificationReport:
     passed: bool = True
     labels: list = field(default_factory=list)
     notes: list = field(default_factory=list)
+    tables: dict = field(default_factory=dict)
 
     def add_case(self, row, ok, label=None):
         self.residuals.append([float(r) for r in row])

@@ -4,7 +4,10 @@ Each suite checks one analytic identity over a set of coefficients and
 returns a VerificationReport.  Corpus mode (strict=False) quietly skips
 members the identity does not apply to; strict mode, used when the caller
 supplies a single coefficient, turns inapplicability into failure so a CI
-run cannot pass vacuously.
+run cannot pass vacuously.  run_suite computes each member's auxiliary
+points once and passes them to every suite that reads them as `points`, a
+list aligned with the members (None where no suite reads one); a suite
+called without points computes its own.
 """
 
 from __future__ import annotations
@@ -20,16 +23,32 @@ from .brackets import (
 )
 from .corpus import default_corpus
 from .floquet import JordanGapError, auxiliary_spectrum, second_floquet
-from .hamiltonians import bihamiltonian_residual, h2, h2_energy
+from .hamiltonians import h2, h2_energy, hamiltonian_fields
 from .report import VerificationReport
 from .shooting import DEFAULT_STEPS, solve_fundamental
-from .variations import gradient_bundle, verify_gradients
-
-SUITE_NAMES = ("lemma", "gradients", "theorem1", "theorem2", "hamiltonian")
+from .variations import gradient_bundle, gradient_table, verify_gradients
 
 
 def _members(members):
     return default_corpus() if members is None else list(members)
+
+
+def _smooth(member):
+    return not member.m.has_atoms
+
+
+def _every(member):
+    return True
+
+
+def _with_points(members, points, count, steps, reads):
+    """(member, auxiliary points) pairs: the caller's points, else computed
+    here for each member that reads(member) selects (None for the rest)."""
+    members = _members(members)
+    if points is None:
+        points = [auxiliary_spectrum(mb.m, count=count, steps=steps) if reads(mb) else None
+                  for mb in members]
+    return list(zip(members, points))
 
 
 def _skip(report, strict, note):
@@ -53,28 +72,26 @@ def _clear_sites(m, n):
 
 
 def _lemma_trajectories(m, pt, steps):
-    t1, t2 = solve_fundamental(m, pt.mu, steps=steps)
-    names = [("y1", t1), ("y2", t2)]
     try:
-        _, y, b = second_floquet(m, pt, steps=steps)
+        t1, t2, y, _ = second_floquet(m, pt, steps=steps)
     except JordanGapError:
-        return names
-    if pt.degenerate and b == 0.0:
-        # scalar period map: y is y1 itself, nothing new to pair
-        return names
-    return names + [("y", y)]
+        # rejected before integrating; y1 and y2 still pair with each other
+        return list(zip(("y1", "y2"), solve_fundamental(m, pt.mu, steps=steps)))
+    # a degenerate point has a scalar period map: y is y1 itself, nothing new to pair
+    return [("y1", t1), ("y2", t2)] + ([] if pt.degenerate else [("y", y)])
 
 
-def suite_lemma(members=None, count=3, steps=DEFAULT_STEPS, tol=1e-7, strict=False):
+def suite_lemma(members=None, count=3, steps=DEFAULT_STEPS, tol=1e-7, strict=False,
+                points=None):
     report = VerificationReport(
         identity="lambda*J(phi*psi) = K(phi*psi) for solution products",
         n=steps, tolerance=tol)
-    for member in _members(members):
+    for member, pts in _with_points(members, points, count, steps, _smooth):
         if member.m.has_atoms:
             _skip(report, strict,
                   f"{member.name}: delta atoms put solution products outside the brackets")
             continue
-        for pt in auxiliary_spectrum(member.m, count=count, steps=steps):
+        for pt in pts:
             trajs = _lemma_trajectories(member.m, pt, steps)
             for i in range(len(trajs)):
                 for j in range(i, len(trajs)):
@@ -89,14 +106,13 @@ def suite_lemma(members=None, count=3, steps=DEFAULT_STEPS, tol=1e-7, strict=Fal
 
 
 def suite_gradients(members=None, n=256, eps=1e-5, count=3,
-                    steps=DEFAULT_STEPS, tol=5e-4, strict=False):
+                    steps=DEFAULT_STEPS, tol=5e-4, strict=False, points=None):
     report = VerificationReport(
         identity="analytic gradients of mu and log|rho| match central differences",
         n=n, tolerance=tol)
     if steps % n:
         raise ValueError("steps must be a multiple of n for site-aligned hats")
-    for member in _members(members):
-        pts = auxiliary_spectrum(member.m, count=count, steps=steps)
+    for member, pts in _with_points(members, points, count, steps, _every):
         pt = next((p for p in pts if not p.degenerate), None)
         if pt is None:
             _skip(report, strict, f"{member.name}: no non-degenerate points")
@@ -105,6 +121,8 @@ def suite_gradients(members=None, n=256, eps=1e-5, count=3,
         chk = verify_gradients(member.m, pt, n=n, eps=eps, steps=steps, sites=sites)
         row = [chk.rel_mu, chk.rel_log_rho, chk.rel_f, chk.rel_g]
         report.add_case(row, max(row) <= tol, f"{member.name}: mu_{pt.index}")
+        report.tables[f"gradients_{member.name}"] = (
+            "x,d_mu,d_logrho,d_f,d_g", gradient_table(chk.bundle, n))
     return report
 
 
@@ -120,52 +138,44 @@ def _scaled_block_deviations(mat, mus):
             float(np.max(dev[k:, :k])), float(np.max(dev[k:, k:]))]
 
 
-def _bundles_or_skip(report, member, count, steps, strict):
-    if member.m.has_atoms:
-        _skip(report, strict, f"{member.name}: brackets need a smooth coefficient")
-        return None
-    pts = auxiliary_spectrum(member.m, count=count, steps=steps)
-    try:
-        return [gradient_bundle(member.m, p, steps=steps) for p in pts]
-    except JordanGapError:
-        _skip(report, strict,
-              f"{member.name}: Jordan degeneracy admits no second Floquet solution")
-        return None
-
-
-def suite_theorem1(members=None, count=3, steps=DEFAULT_STEPS, tol=1e-5, strict=False):
-    report = VerificationReport(
-        identity="(mu_i, f_i) are canonically conjugate under the first bracket",
-        n=steps, tolerance=tol)
-    for member in _members(members):
-        bundles = _bundles_or_skip(report, member, count, steps, strict)
-        if bundles is None:
+def _theorem_suite(identity, which, members, count, steps, tol, strict, points):
+    report = VerificationReport(identity=identity, n=steps, tolerance=tol)
+    for member, pts in _with_points(members, points, count, steps, _smooth):
+        if member.m.has_atoms:
+            _skip(report, strict, f"{member.name}: brackets need a smooth coefficient")
+            continue
+        try:
+            bundles = [gradient_bundle(member.m, p, steps=steps) for p in pts]
+        except JordanGapError:
+            _skip(report, strict,
+                  f"{member.name}: Jordan degeneracy admits no second Floquet solution")
             continue
         mus = [b.point.mu for b in bundles]
-        mat = conjugacy_matrix(member.m, bundles=bundles, which="first")
+        mat = conjugacy_matrix(member.m, bundles=bundles, which=which)
         row = _scaled_block_deviations(mat, mus)
-        inter = np.abs(log_multiplier_matrix(member.m, bundles)
-                       - np.diag([-mu * mu for mu in mus]))
-        for i, mu in enumerate(mus):
-            inter[i, :] /= max(1.0, mu * mu)
-        row.append(float(np.max(inter)))
+        if which == "first":
+            # {mu_i, log|rho_j|} = -mu_i^2 delta_ij, row i scaled by max(1, mu_i^2)
+            inter = np.abs(log_multiplier_matrix(member.m, bundles)
+                           - np.diag([-mu * mu for mu in mus]))
+            for i, mu in enumerate(mus):
+                inter[i, :] /= max(1.0, mu * mu)
+            row.append(float(np.max(inter)))
         report.add_case(row, max(row) <= tol, member.name)
     return report
 
 
-def suite_theorem2(members=None, count=3, steps=DEFAULT_STEPS, tol=1e-5, strict=False):
-    report = VerificationReport(
-        identity="(mu_i, g_i) are canonically conjugate under the second bracket",
-        n=steps, tolerance=tol)
-    for member in _members(members):
-        bundles = _bundles_or_skip(report, member, count, steps, strict)
-        if bundles is None:
-            continue
-        mus = [b.point.mu for b in bundles]
-        mat = conjugacy_matrix(member.m, bundles=bundles, which="second")
-        row = _scaled_block_deviations(mat, mus)
-        report.add_case(row, max(row) <= tol, member.name)
-    return report
+def suite_theorem1(members=None, count=3, steps=DEFAULT_STEPS, tol=1e-5, strict=False,
+                   points=None):
+    return _theorem_suite(
+        "(mu_i, f_i) are canonically conjugate under the first bracket", "first",
+        members, count, steps, tol, strict, points)
+
+
+def suite_theorem2(members=None, count=3, steps=DEFAULT_STEPS, tol=1e-5, strict=False,
+                   points=None):
+    return _theorem_suite(
+        "(mu_i, g_i) are canonically conjugate under the second bracket", "second",
+        members, count, steps, tol, strict, points)
 
 
 def suite_hamiltonian(members=None, n=256, tol=1e-6, strict=False):
@@ -177,32 +187,43 @@ def suite_hamiltonian(members=None, n=256, tol=1e-6, strict=False):
             _skip(report, strict,
                   f"{member.name}: energy functionals need a smooth coefficient")
             continue
-        res, scale = bihamiltonian_residual(member.m, n)
+        xs, j_side, k_side, diff = hamiltonian_fields(member.m, n)
+        res, scale = float(np.max(np.abs(diff))), float(np.max(np.abs(k_side)))
         flux, energy = h2(member.m, n), h2_energy(member.m, n)
         h2_dev = abs(flux - energy) / max(1.0, abs(energy))
         ok = res <= tol * max(scale, 1.0) and h2_dev <= tol
         report.add_case([res, scale, h2_dev], ok, member.name)
+        report.tables[f"hamiltonian_{member.name}"] = (
+            "x,j_gradh2,k_gradh3,residual", (xs, j_side, k_side, diff))
     return report
+
+
+# name -> (suite, the run_suite settings it takes, members whose points it reads)
+_SUITES = {
+    "lemma": (suite_lemma, ("count", "steps", "points"), _smooth),
+    "gradients": (suite_gradients, ("n", "eps", "count", "steps", "points"), _every),
+    "theorem1": (suite_theorem1, ("count", "steps", "points"), _smooth),
+    "theorem2": (suite_theorem2, ("count", "steps", "points"), _smooth),
+    "hamiltonian": (suite_hamiltonian, ("n",), None),
+}
+SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suite(name, members=None, strict=False, n=256, eps=1e-5,
               count=3, steps=DEFAULT_STEPS):
-    """Dispatch one suite by CLI name; 'all' returns every suite in order."""
-    if name == "all":
-        return [(s, run_suite(s, members=members, strict=strict, n=n,
-                              eps=eps, count=count, steps=steps)[0][1])
-                for s in SUITE_NAMES]
-    if name == "lemma":
-        report = suite_lemma(members, count=count, steps=steps, strict=strict)
-    elif name == "gradients":
-        report = suite_gradients(members, n=n, eps=eps, count=count,
-                                 steps=steps, strict=strict)
-    elif name == "theorem1":
-        report = suite_theorem1(members, count=count, steps=steps, strict=strict)
-    elif name == "theorem2":
-        report = suite_theorem2(members, count=count, steps=steps, strict=strict)
-    elif name == "hamiltonian":
-        report = suite_hamiltonian(members, n=n, strict=strict)
-    else:
+    """Run one suite by CLI name, or every suite in order for 'all'.
+
+    Returns [(name, report), ...].  A member's auxiliary points are computed
+    once, only if a selected suite reads them, and shared by those suites.
+    """
+    if name != "all" and name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}")
-    return [(name, report)]
+    names = SUITE_NAMES if name == "all" else (name,)
+    members = _members(members)
+    readers = [_SUITES[s][2] for s in names if _SUITES[s][2] is not None]
+    points = [pts for _, pts in _with_points(
+        members, None, count, steps, lambda mb: any(reads(mb) for reads in readers))]
+    settings = {"n": n, "eps": eps, "count": count, "steps": steps, "points": points}
+    return [(s, _SUITES[s][0](members, strict=strict,
+                              **{k: settings[k] for k in _SUITES[s][1]}))
+            for s in names]

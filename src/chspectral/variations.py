@@ -46,15 +46,13 @@ def norming_constant(m, t2):
     return 1.0 / denom
 
 
-def positivity_residual(m, point, t2=None, steps=None):
+def positivity_residual(m, point, steps=None):
     """Relative residual of mu integral(m y2^2) = integral((y2/2)^2 + y2'^2).
 
     Both sides are strictly positive for admissible coefficients, which pins
     the sign of A and hence of the mu gradient.
     """
-    steps = steps or point.steps
-    if t2 is None:
-        _, t2 = solve_fundamental(m, point.mu, steps=steps)
+    _, t2 = solve_fundamental(m, point.mu, steps=steps or point.steps)
     lhs = point.mu * weighted_integral(m, t2, t2)
     rhs = trajectory_integral(t2, (0.5 * t2.psi) ** 2 + t2.dpsi ** 2)
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs))
@@ -96,7 +94,7 @@ def gradient_bundle(m, point, steps=None):
     still differentiable and log|rho| is taken as exactly zero.
     """
     steps = steps or point.steps
-    t2, y, b = second_floquet(m, point, steps=steps)
+    _, t2, y, b = second_floquet(m, point, steps=steps)
     a = norming_constant(m, t2)
     bb = weighted_integral(m, t2, y)
     mu = point.mu
@@ -132,6 +130,7 @@ class GradientCheck:
     fd_f: np.ndarray
     analytic_g: np.ndarray
     fd_g: np.ndarray
+    bundle: SpectralGradient     # the analytic data the samples come from
 
     @staticmethod
     def _rel(analytic, fd):
@@ -253,4 +252,4 @@ def verify_gradients(m, point, n=256, eps=1e-5, steps=None, sites=None):
         analytic_mu=_field_at_sites(bundle.grad_mu, xq), fd_mu=fd_mu,
         analytic_log_rho=_field_at_sites(bundle.grad_log_rho, xq), fd_log_rho=fd_log,
         analytic_f=_field_at_sites(bundle.grad_f, xq), fd_f=fd_f,
-        analytic_g=_field_at_sites(bundle.grad_g, xq), fd_g=fd_g)
+        analytic_g=_field_at_sites(bundle.grad_g, xq), fd_g=fd_g, bundle=bundle)

@@ -21,7 +21,7 @@ from chspectral.floquet import (
     refine_point,
     second_floquet,
 )
-from chspectral.shooting import DEFAULT_STEPS, fundamental_matrix, solve_fundamental
+from chspectral.shooting import DEFAULT_STEPS, fundamental_matrix
 from chspectral.suites import suite_gradients, suite_lemma, suite_theorem1, suite_theorem2
 from chspectral.variations import gradient_bundle, positivity_residual
 from chspectral.hamiltonians import bihamiltonian_residual
@@ -134,8 +134,7 @@ def _lemma_deviation(m, points, steps):
     worst = 0.0
     for p in points:
         pt = refine_point(m, p, steps)
-        t1, t2 = solve_fundamental(m, pt.mu, steps=steps)
-        _, y, _ = second_floquet(m, pt, steps=steps)
+        t1, t2, y, _ = second_floquet(m, pt, steps=steps)
         for ta in (t1, t2, y):
             for tb in (t1, t2, y):
                 res, scale = lemma_residual(m, ProductField.from_trajectories(m, ta, tb))

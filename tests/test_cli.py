@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import chspectral
+from chspectral import suites
 from chspectral.cli import entry
 
 
@@ -102,6 +103,26 @@ def test_verify_writes_report_and_field_csvs(tmp_path):
     assert fields[0] == "x,j_gradh2,k_gradh3,residual"
     assert len(fields) == 257
     assert not (tmp_path / "hamiltonian_peakon_offset.csv").exists()
+
+
+def test_verify_all_writes_suite_artifacts_from_one_spectrum_per_member(
+        tmp_path, monkeypatch):
+    computed = []
+    real = suites.auxiliary_spectrum
+
+    def counted(m, **kwargs):
+        computed.append(m)
+        return real(m, **kwargs)
+
+    monkeypatch.setattr(suites, "auxiliary_spectrum", counted)
+    assert entry(["verify", "all", "--out", str(tmp_path)]) == 0
+    assert len(computed) == 5 and len({id(m) for m in computed}) == 5
+    reports = [f"verify_{s}.json" for s in
+               ("lemma", "gradients", "theorem1", "theorem2", "hamiltonian")]
+    tables = ["gradients_two_mode.csv", "gradients_peakon_offset.csv",
+              "hamiltonian_const.csv", "hamiltonian_cosine.csv",
+              "hamiltonian_two_mode.csv"]
+    assert sorted(os.listdir(tmp_path)) == sorted(reports + tables)
 
 
 def test_verify_gradients_strict_fail_and_artifacts(tmp_path, capsys):

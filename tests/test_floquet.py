@@ -139,6 +139,32 @@ def test_auxiliary_spectrum_count_truncates():
     assert len(pts) == 2
 
 
+def test_auxiliary_spectrum_count_scans_only_the_added_window(monkeypatch):
+    scanned = []
+    real = floquet._aux_roots
+
+    def recording(m, lo, hi, *args):
+        scanned.append((lo, hi))
+        return real(m, lo, hi, *args)
+
+    monkeypatch.setattr(floquet, "_aux_roots", recording)
+    grown = auxiliary_spectrum(two_mode(), count=3)
+    # two_mode has two points below 50: the window grows once, and the second
+    # scan starts where the first one stopped
+    assert len(scanned) == 2 and scanned[1][0] == scanned[0][1]
+    window = auxiliary_spectrum(two_mode(), lam_max=100.0)
+    assert [(p.index, p.mu) for p in grown] == [(p.index, p.mu) for p in window[:3]]
+
+
+def test_auxiliary_spectrum_count_grows_upward_from_negative_lam_min():
+    # [-60, -10] holds no point; the window must grow toward +inf, by the
+    # rule that set it, and reach the points found from lam_min = -10
+    low = auxiliary_spectrum(two_mode(), lam_min=-60.0, count=2, steps=1024)
+    ref = auxiliary_spectrum(two_mode(), lam_min=-10.0, count=2, steps=1024)
+    assert [p.mu for p in low] == [p.mu for p in ref]
+    np.testing.assert_allclose([p.mu for p in low], [11.528, 39.445], atol=1e-3)
+
+
 def test_refine_point_tracks_root():
     m = two_mode()
     pt = auxiliary_spectrum(m, count=1, steps=1024)[0]
@@ -157,7 +183,7 @@ def test_second_floquet_multiplier_property():
     # Floquet property is U(1) acting on the data at 0
     m = peakon(1.0, 0.3)
     pt = auxiliary_spectrum(m, lam_max=20.0)[0]
-    t2, y, b = second_floquet(m, pt)
+    t1, t2, y, b = second_floquet(m, pt)
     start, end = ends(t2)
     np.testing.assert_allclose(end, pt.rho * start, atol=1e-10)
     start, end = ends(y)
@@ -165,13 +191,15 @@ def test_second_floquet_multiplier_property():
     assert y.psi[0] == 1.0
     w = trajectory_wronskian(t2, y)
     np.testing.assert_allclose(w, -1.0, atol=1e-10)
+    # the pair it integrated comes back with it: y1(0) = 1, y1'(0) = 0
+    assert (t1.psi[0], t1.dpsi[0], t2.psi[0], t2.dpsi[0]) == (1.0, 0.0, 0.0, 1.0)
 
 
 def test_second_floquet_smooth_member():
     m = two_mode()
     pt = auxiliary_spectrum(m, count=1)[0]
     assert not pt.degenerate
-    t2, y, b = second_floquet(m, pt)
+    t1, t2, y, b = second_floquet(m, pt)
     start, end = ends(y)
     np.testing.assert_allclose(end, start / pt.rho, atol=1e-7 * np.max(np.abs(y.psi)))
     w = trajectory_wronskian(t2, y)
@@ -182,8 +210,8 @@ def test_second_floquet_band_edge_identity_monodromy():
     # m = 1 at mu_n: U = +-I, first fundamental solution is already Floquet
     m = const_m(1.0)
     pt = auxiliary_spectrum(m, count=1)[0]
-    t2, y, b = second_floquet(m, pt)
-    assert b == 0.0
+    t1, t2, y, b = second_floquet(m, pt)
+    assert b == 0.0 and y is t1
     omega = math.sqrt(pt.mu - 0.25)
     np.testing.assert_allclose(y.psi, np.cos(omega * y.xs), atol=1e-8)
     start, end = ends(y)

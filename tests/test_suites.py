@@ -1,5 +1,6 @@
 import pytest
 
+from chspectral import floquet, suites
 from chspectral.coefficient import make_coefficient
 from chspectral.corpus import CorpusMember, corpus_specs, default_corpus
 from chspectral.suites import (
@@ -95,6 +96,39 @@ def test_run_suite_dispatch_and_all_order():
     assert tuple(names) == SUITE_NAMES
     with pytest.raises(ValueError):
         run_suite("bogus")
+
+
+def count_calls(monkeypatch, modules, name):
+    """Route name in each module through one wrapper recording each call's arguments."""
+    calls = []
+    real = getattr(modules[0], name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_run_suite_computes_only_the_spectra_it_reads(monkeypatch):
+    calls = count_calls(monkeypatch, [suites], "auxiliary_spectrum")
+    run_suite("hamiltonian")
+    assert calls == []
+    run_suite("lemma", count=1, steps=1024)
+    assert len(calls) == 3 and len({id(args[0]) for args in calls}) == 3
+
+
+def test_lemma_integrates_one_dense_pair_per_point(monkeypatch):
+    # one point each: a scalar period map (const), a Jordan block that
+    # second_floquet refuses before integrating (cosine), a regular point (two_mode)
+    mems = [member("const"), member("cosine"), member("two_mode")]
+    pts = [floquet.auxiliary_spectrum(mb.m, count=1, steps=1024) for mb in mems]
+    calls = count_calls(monkeypatch, [floquet, suites], "solve_fundamental")
+    report = suite_lemma(mems, count=1, steps=1024, points=pts)
+    assert report.passed and len(report.residuals) == 3 + 3 + 6
+    assert [args[1] for args in calls] == [p[0].mu for p in pts]
 
 
 def test_report_schema_keys():
