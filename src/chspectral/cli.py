@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -81,6 +82,10 @@ def build_parser():
 
 
 def _validated(args):
+    for flag, value in (("--lambda-min", args.lambda_min),
+                        ("--lambda-max", args.lambda_max), ("--eps", args.eps)):
+        if value is not None and not math.isfinite(value):
+            _fail(f"{flag} must be finite, got {value}")
     if not _power_of_two(args.n):
         _fail(f"--n must be a positive power of two, got {args.n}")
     if not _power_of_two(args.steps):
@@ -130,14 +135,14 @@ def cmd_spectrum(args):
     hi = 50.0 if args.lambda_max is None else args.lambda_max
     rows = []
     if hi > lo:
+        points = auxiliary_spectrum(m, lam_min=lo, lam_max=hi, steps=args.steps)
         counters = {"periodic": 0, "antiperiodic": 0}
-        for edge in periodic_spectrum(m, lo, hi, steps=args.steps):
+        for edge in periodic_spectrum(m, lo, hi, steps=args.steps, points=points):
             counters[edge.kind] += 1
             rho = 1.0 if edge.kind == "periodic" else -1.0
             rows.append((edge.lam, edge.kind, counters[edge.kind], rho,
                          edge.multiplicity == 2))
-        for pt in auxiliary_spectrum(m, lam_min=lo, lam_max=hi,
-                                     count=args.count, steps=args.steps):
+        for pt in points[:args.count]:
             rows.append((pt.mu, "aux", pt.index, pt.rho, pt.degenerate))
     rows.sort(key=lambda r: (r[0], r[1]))
     lines = ["kind,index,lambda,rho,degenerate"]

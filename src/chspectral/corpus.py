@@ -1,9 +1,9 @@
 """Stock coefficients exercising every regime the solvers distinguish.
 
-const and cosine close every spectral gap (the first through a scalar
-period map, the second through a nontrivial Jordan block), two_mode opens
-gaps and carries a generic non-degenerate auxiliary spectrum, and the two
-peakon members concentrate all momentum in a single delta atom; the
+const closes every spectral gap (a scalar period map); cosine opens them
+but pins each auxiliary point on a gap edge (a nontrivial Jordan block);
+two_mode carries a generic non-degenerate auxiliary spectrum; the two
+peakon members concentrate all momentum in a single delta atom, and the
 centered one pins its auxiliary eigenvalue to a band edge.
 """
 

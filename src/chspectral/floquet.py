@@ -1,9 +1,12 @@
 """Floquet discriminant, multipliers, auxiliary spectrum, and band/gap layout.
 
 The discriminant is half the monodromy trace; auxiliary points are the zeros
-mu_i of y2(1, .) with multiplier rho_i = y2'(1, mu_i).  Band edges are the
-lambda where the discriminant meets +-1, found by a coarse batched scan plus
-full-step polishing; closed gaps appear as tangencies of multiplicity two.
+mu_i of y2(1, .) with multiplier rho_i = y2'(1, mu_i), found by a coarse
+batched scan plus full-step polishing.  Band edges are the lambda where the
+discriminant meets +-1.  Each spectral gap holds exactly one mu_i (Hill's
+theorem), so the edges are bracketed between consecutive auxiliary points;
+an auxiliary point on an edge is that edge, counted twice when it closes
+its gap.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
+from scipy.optimize import brentq
 
 from .shooting import (
     DEFAULT_STEPS,
@@ -28,9 +31,10 @@ SCAN_DENSITY = 512      # coarse scan nodes per unit of lambda
 GUARD_BAND = 1e-6       # roots with |lambda| at or below this are discarded
 DEGENERATE_TOL = 1e-8   # | |Delta(mu)| - 1 | cut for the band-edge flag
 JORDAN_TOL = 1e-6       # |y1'(1, mu)| scale separating U = +-I from a Jordan block
-TANGENCY_TOL = 1e-7     # |Delta -+ 1| at a polished extremum for a closed gap
+EDGE_TOL = 1e-6         # relative distance at which a point counts as on an edge
 _BRENT_XTOL = 1e-13
 _BRENT_RTOL = 8.9e-16   # scipy refuses anything below 4 * machine eps
+_KINDS = {1.0: "periodic", -1.0: "antiperiodic"}
 
 
 class JordanGapError(RuntimeError):
@@ -219,6 +223,11 @@ def refine_point(m, point, steps):
     return _assemble_point(m, point.index, mu, steps)
 
 
+def _jordan(point):
+    """Degenerate point whose monodromy is a nontrivial Jordan block, not +-I."""
+    return point.degenerate and abs(point.dy1_end) > JORDAN_TOL * max(1.0, abs(point.mu))
+
+
 def second_floquet(m, point, steps=None):
     """Trajectories (y1, y2, y, b) at mu over one period [0, 1].
 
@@ -230,7 +239,7 @@ def second_floquet(m, point, steps=None):
     back as y with b = 0; a nontrivial Jordan block admits no second Floquet
     solution and raises JordanGapError before anything is integrated.
     """
-    if point.degenerate and abs(point.dy1_end) > JORDAN_TOL * max(1.0, abs(point.mu)):
+    if _jordan(point):
         raise JordanGapError(
             f"monodromy at mu={point.mu:.8g} is a nontrivial Jordan block; "
             "gradient of the multiplier is undefined there")
@@ -241,93 +250,63 @@ def second_floquet(m, point, steps=None):
     return t1, t2, t1.combine(t2, b), b
 
 
-def periodic_spectrum(m, lam_min, lam_max, steps=DEFAULT_STEPS):
-    """Band edges (Delta = +-1) in a window, tangencies counted twice."""
-    scan_steps = max(256, steps // 8)
-    nodes = _scan_nodes(lam_min, lam_max)
-    deltas = discriminant_sweep(m, nodes, scan_steps)
+def periodic_spectrum(m, lam_min, lam_max, steps=DEFAULT_STEPS, points=None):
+    """Band edges (Delta = +-1) in a window, closed gaps counted twice.
+
+    points is the window's full auxiliary set at the same steps, computed
+    when not given.  Each gap holds one point, so between consecutive
+    anchors (window ends, lambda = 0, points) Delta - 1 and Delta + 1 each
+    change sign at most once.  A degenerate point with U = +-I closes its
+    gap: a double edge.  Any other degenerate point may sit on an edge,
+    where the sign of Delta -+ 1 is rounding, so two anchors EDGE_TOL to
+    either side replace it; when neither lies in its gap, mu is a double edge.
+    """
+    if points is None:
+        points = auxiliary_spectrum(m, lam_min=lam_min, lam_max=lam_max, steps=steps)
+
+    def anchor(lam):
+        return lam, discriminant(m, lam, steps)
+
+    anchors = [anchor(lam_min), anchor(lam_max)]
+    if lam_min < 0.0 < lam_max:
+        anchors.append((0.0, math.cosh(0.5)))
     edges = []
-    for target, kind in ((1.0, "periodic"), (-1.0, "antiperiodic")):
-        # Delta = +1 and Delta = -1 never meet, so only same-kind repeats merge
-        merged = []
-        for e in sorted(_edge_hunt(m, nodes, deltas - target, target, kind, steps),
-                        key=lambda e: e.lam):
-            if not merged or abs(e.lam - merged[-1].lam) > 1e-9 * max(1.0, abs(e.lam)):
-                merged.append(e)
-        edges.extend(merged)
+    for pt in points:
+        t = math.copysign(1.0, pt.delta)
+        if not pt.degenerate:
+            anchors.append((pt.mu, pt.delta))
+        elif not _jordan(pt):
+            edges.append(BandEdge(pt.mu, _KINDS[t], 2))
+            anchors.append((pt.mu, 0.0))    # Delta on both sides lies in the band
+        else:
+            w = EDGE_TOL * max(1.0, abs(pt.mu))
+            probes = [anchor(min(max(lam, lam_min), lam_max)) for lam in (pt.mu - w, pt.mu + w)]
+            if all((d - t) * t <= 0.0 for _, d in probes):
+                edges.append(BandEdge(pt.mu, _KINDS[t], 2))
+            anchors.extend(probes)
+    anchors.sort()
+    for (a, fa), (b, fb) in zip(anchors, anchors[1:]):
+        for t, kind in _KINDS.items():
+            if (fa - t) * (fb - t) <= 0.0:
+                lam = brentq(lambda x: discriminant(m, x, steps) - t, a, b,
+                             xtol=_BRENT_XTOL, rtol=_BRENT_RTOL)
+                edges.append(BandEdge(lam, kind, 1))
     edges.sort(key=lambda e: e.lam)
     return edges
 
 
-def _edge_hunt(m, nodes, vals, target, kind, steps):
-    def f(lam):
-        return discriminant(m, lam, steps) - target
-
-    out = []
-    crossed = set()
-    sign = np.sign(vals)
-    for j in np.nonzero(sign[:-1] * sign[1:] < 0.0)[0]:
-        root = _polish_bracket(f, float(nodes[j]), float(nodes[j + 1]), max_expand=0)
-        if root is not None:
-            out.append(BandEdge(lam=root, kind=kind, multiplicity=1))
-            crossed.add(int(j))
-    for j in np.nonzero(sign == 0.0)[0]:
-        mult = 2 if (0 < j < len(vals) - 1 and vals[j - 1] * vals[j + 1] > 0) else 1
-        out.append(BandEdge(lam=float(nodes[j]), kind=kind, multiplicity=mult))
-        crossed.add(int(j))
-        crossed.add(int(j) - 1)
-    mag = np.abs(vals)
-    for j in range(1, len(nodes) - 1):
-        if j in crossed or (j - 1) in crossed:
-            continue
-        if not (mag[j] < mag[j - 1] and mag[j] <= mag[j + 1]
-                and vals[j - 1] * vals[j + 1] > 0.0 and mag[j] <= 0.5):
-            continue
-        out.extend(_tangency(f, float(nodes[j - 1]), float(nodes[j + 1]), kind))
-    return out
-
-
-def _tangency(f, a, b, kind):
-    """Classify an extremum candidate of Delta near the target line.
-
-    Polishes the extremum at full steps from both directions (the coarse sign
-    can be noise near a closed gap), then either records a double edge, a pair
-    of close simple crossings, or nothing (extremum short of the line).
-    """
-    opts = {"xatol": 1e-12}
-    down = minimize_scalar(f, bounds=(a, b), method="bounded", options=opts)
-    up = minimize_scalar(lambda t: -f(t), bounds=(a, b), method="bounded", options=opts)
-    if abs(down.fun) <= abs(up.fun):
-        lam, extremum, inward = float(down.x), float(down.fun), 1.0
-    else:
-        lam, extremum, inward = float(up.x), -float(up.fun), -1.0
-    if abs(extremum) <= TANGENCY_TOL:
-        return [BandEdge(lam=lam, kind=kind, multiplicity=2)]
-    if extremum * inward > 0.0:
-        return []  # extremum stops short of the target line: no edge here
-    # dipped through at full resolution: two nearby simple roots
-    roots = []
-    for lo, hi in ((a, lam), (lam, b)):
-        root = _polish_bracket(f, lo, hi, max_expand=0)
-        if root is not None:
-            roots.append(BandEdge(lam=root, kind=kind, multiplicity=1))
-    return roots
-
-
-def gap_check(m, lam_min, lam_max, steps=DEFAULT_STEPS, edge_tol=1e-6):
-    """Count auxiliary points per spectral gap over [lam_min, lam_max].
+def gap_check(m, lam_min, lam_max, steps=DEFAULT_STEPS, edge_tol=EDGE_TOL):
+    """Count auxiliary points per spectral gap over [max(lam_min, GUARD_BAND), lam_max].
 
     Passes when every interior gap holds exactly one mu (closed gaps count
     the pinned mu through an edge tolerance), the region below the lowest
     band edge holds none, and no mu sits inside a band.  A gap cut off by
     the window top may hold at most one.
     """
-    edges = periodic_spectrum(m, lam_min, lam_max, steps)
-    aux = auxiliary_spectrum(m, lam_min=max(lam_min, GUARD_BAND), lam_max=lam_max,
-                             steps=steps)
-    seq = []
-    for e in edges:
-        seq.extend([e.lam] * e.multiplicity)
+    lo = max(lam_min, GUARD_BAND)
+    aux = auxiliary_spectrum(m, lam_min=lo, lam_max=lam_max, steps=steps)
+    edges = periodic_spectrum(m, lo, lam_max, steps, points=aux)
+    seq = [e.lam for e in edges for _ in range(e.multiplicity)]
 
     def tol_at(x):
         return edge_tol * max(1.0, abs(x))

@@ -170,6 +170,23 @@ def test_usage_errors_exit_2(tmp_path):
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--lambda-max", "inf"],
+    ["discriminant", "--lambda-max", "inf"],
+    ["spectrum", "--lambda-max", "nan"],
+    ["spectrum", "--lambda-min", "nan"],
+    ["discriminant", "--lambda-min=-inf"],
+    ["verify", "gradients", "--eps", "nan"],
+])
+def test_non_finite_window_or_eps_exit_2(tmp_path, capsys, argv):
+    cfg = write_config(tmp_path, CONST)
+    with pytest.raises(SystemExit) as err:
+        entry(argv + ["--config", cfg, "--out", str(tmp_path / "out")])
+    assert err.value.code == 2
+    assert "must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_reruns_are_byte_identical(tmp_path):
     cfg = write_config(tmp_path, PEAKON)
     a, b = tmp_path / "a", tmp_path / "b"

@@ -289,6 +289,90 @@ def test_periodic_spectrum_keeps_close_edges_of_both_kinds():
     assert sum(e.multiplicity for e in edges) == 10
 
 
+def hill_kinds(edges):
+    """Edge kinds with double edges repeated, and Hill's pattern of that length."""
+    kinds = [e.kind for e in edges for _ in range(e.multiplicity)]
+    cycle = ("antiperiodic", "antiperiodic", "periodic", "periodic")
+    return kinds, (["periodic"] + [cycle[i % 4] for i in range(len(kinds))])[:len(kinds)]
+
+
+def test_periodic_spectrum_cosine_keeps_the_narrow_sixth_gap():
+    # gap 6 peaks at Delta - 1 of about 1e-7 and its mu sits on the lower
+    # edge (a Jordan block); the partner edge must not be dropped
+    edges = periodic_spectrum(make_coefficient({"smooth": {
+        "kind": "fourier", "a0": 1.0, "cos": [0.3]}}), 1e-6, 420.0)
+    kinds, want = hill_kinds(edges)
+    assert len(edges) == 13 and kinds == want
+    assert [e.multiplicity for e in edges] == [1] * 13
+    np.testing.assert_allclose([e.lam for e in edges[-2:]],
+                               [359.79357, 359.82846], atol=1e-5)
+
+
+def test_periodic_spectrum_closed_gaps_are_the_auxiliary_points():
+    m = const_m(1.0)
+    points = auxiliary_spectrum(m, lam_min=1e-6, lam_max=100.0)
+    edges = periodic_spectrum(m, 1e-6, 100.0, points=points)
+    assert [(e.lam, e.multiplicity) for e in edges[1:]] == [(p.mu, 2) for p in points]
+    assert [e.lam for e in periodic_spectrum(m, 1e-6, 100.0)] == [e.lam for e in edges]
+
+
+def test_periodic_spectrum_degenerate_point_inside_an_open_gap():
+    # |Delta(mu_11)| - 1 is 1.1e-9, below the degeneracy cut, and y1'(1, mu)
+    # is far from 0, yet mu sits 82% of the way into a gap 8.5e-3 wide: the
+    # edges are polished on both sides of it, not pinned to it
+    m = two_mode()
+    points = auxiliary_spectrum(m, lam_min=1200.0, lam_max=1210.0)
+    assert len(points) == 1 and points[0].degenerate
+    with pytest.raises(JordanGapError):
+        second_floquet(m, points[0])
+    edges = periodic_spectrum(m, 1200.0, 1210.0, points=points)
+    assert [(e.kind, e.multiplicity) for e in edges] == [("antiperiodic", 1)] * 2
+    np.testing.assert_allclose([e.lam for e in edges],
+                               [1205.7563199166, 1205.7648216580], rtol=1e-11)
+    assert edges[0].lam < points[0].mu < edges[1].lam
+
+
+def test_periodic_spectrum_sign_indefinite_member_straddling_zero():
+    m = make_coefficient({"smooth": {"kind": "fourier", "a0": 0.2, "cos": [1.0]}})
+    edges = periodic_spectrum(m, -300.0, 300.0)
+    want = [-243.88788633940365, -243.7383706934033, -27.17144826784753,
+            -18.319393220345795, 1.1642029200959867, 13.680673079578607,
+            96.27862991356348, 100.92314218353344, 279.4279745434218,
+            280.414790458543]
+    np.testing.assert_allclose([e.lam for e in edges], want, rtol=1e-12)
+    assert "".join(e.kind[0] for e in edges) == "paappaappa"
+    assert [e.multiplicity for e in edges] == [1] * 10
+
+
+def test_spectra_share_one_auxiliary_scan(monkeypatch, tmp_path):
+    from chspectral import cli
+
+    scans, columns = [], []
+    real_aux, real_column = floquet.auxiliary_spectrum, floquet.endpoint_column
+
+    def counted_aux(*args, **kwargs):
+        scans.append(args)
+        return real_aux(*args, **kwargs)
+
+    def counted_column(*args, **kwargs):
+        columns.append(args)
+        return real_column(*args, **kwargs)
+
+    points = auxiliary_spectrum(two_mode(), lam_max=15.0)
+    monkeypatch.setattr(floquet, "auxiliary_spectrum", counted_aux)
+    monkeypatch.setattr(cli, "auxiliary_spectrum", counted_aux)
+    monkeypatch.setattr(floquet, "endpoint_column", counted_column)
+    periodic_spectrum(two_mode(), 1e-6, 15.0, points=points)
+    assert scans == [] and columns == []
+    gap_check(two_mode(), 1e-6, 15.0)
+    assert len(scans) == 1
+    cfg = tmp_path / "m.json"
+    cfg.write_text('{"smooth": {"kind": "const", "value": 1.0}}')
+    cli.entry(["spectrum", "--config", str(cfg), "--lambda-max", "15", "--count", "1",
+               "--out", str(tmp_path)])
+    assert len(scans) == 2
+
+
 @pytest.mark.parametrize("spec", [
     {"smooth": {"kind": "const", "value": -1.0}, "atoms": []},
     {"smooth": {"kind": "const", "value": 0.0}, "atoms": [{"q": 0.3, "p": -1.0}]},
