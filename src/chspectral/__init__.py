@@ -24,18 +24,13 @@ from .coefficient import (
 from .shooting import (
     DEFAULT_STEPS,
     BlowUpError,
-    FundamentalMatrix,
     ShootingState,
-    SolutionTrajectory,
     fundamental_matrix,
     propagate,
     solve_fundamental,
     wronskian,
 )
 from .floquet import (
-    AuxiliaryPoint,
-    BandEdge,
-    GapCheck,
     JordanGapError,
     auxiliary_spectrum,
     discriminant,
@@ -59,8 +54,6 @@ from .brackets import (
     log_multiplier_matrix,
 )
 from .variations import (
-    GradientCheck,
-    SpectralGradient,
     gradient_bundle,
     gradient_table,
     mu_gradient,

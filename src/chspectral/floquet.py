@@ -29,7 +29,7 @@ from .shooting import (
 
 SCAN_DENSITY = 512      # coarse scan nodes per unit of lambda
 GUARD_BAND = 1e-6       # roots with |lambda| at or below this are discarded
-DEGENERATE_TOL = 1e-8   # | |Delta(mu)| - 1 | cut for the band-edge flag
+DEGENERATE_TOL = 1e-8   # |y1(1, mu) - y2'(1, mu)| (= 1/rho - rho) cut for the band-edge flag
 JORDAN_TOL = 1e-6       # |y1'(1, mu)| scale separating U = +-I from a Jordan block
 EDGE_TOL = 1e-6         # relative distance at which a point counts as on an edge
 _BRENT_XTOL = 1e-13
@@ -210,7 +210,7 @@ def _assemble_point(m, index, mu, steps):
     delta = 0.5 * U.trace
     return AuxiliaryPoint(index=index, mu=mu, rho=U.dy2, rho_tilde=U.y1,
                           delta=delta, dy1_end=U.dy1,
-                          degenerate=abs(abs(delta) - 1.0) <= DEGENERATE_TOL,
+                          degenerate=abs(U.y1 - U.dy2) <= DEGENERATE_TOL,
                           steps=steps)
 
 

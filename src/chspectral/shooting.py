@@ -351,26 +351,3 @@ def endpoint_column(m, lams, column=(0.0, 1.0), steps=DEFAULT_STEPS, x1=1.0):
     return _march(m.atoms, lams, psi, dpsi, 0.0, x1,
                   _exact_advance if m.smooth_is_zero else advance)
 
-
-def endpoint_column_variants(msub_fn, atoms, lams, column, steps, x0=0.0, x1=1.0):
-    """Endpoint map where the coefficient varies across the batch.
-
-    msub_fn(x) must return the smooth-part values at x as an array matching
-    lams (the finite-difference oracle passes one hat-perturbed variant per
-    batch member).  atoms is shared across variants.  Each step matrix comes
-    from the lanes' own c; msub_fn is called once per substep node.
-    """
-    lams = np.asarray(lams, dtype=float)
-    psi, dpsi = (np.multiply.outer(c, np.ones(lams.shape)) for c in np.asarray(column, float))
-
-    def advance(psi, dpsi, a, b):
-        n, h = _segment(steps, a, b)
-        cc = 0.25 - lams * msub_fn(a)
-        for j in range(1, 2 * n, 2):
-            ca = cc
-            cb = 0.25 - lams * msub_fn(a + 0.5 * h * j)
-            cc = 0.25 - lams * msub_fn(a + 0.5 * h * (j + 1))
-            psi, dpsi = _apply(_step_entries(ca, cb, cc, h), psi, dpsi)
-        return psi, dpsi
-
-    return _march(atoms, lams, psi, dpsi, x0, x1, advance)

@@ -9,7 +9,10 @@ solution y (normalised y(0) = 1, wronskian y2 y' - y2' y = -1):
 The canonically conjugate partners are f = -log|rho| / mu^2 under the first
 bracket and g = -log|rho| / mu^3 under the second; their gradients follow by
 the chain rule.  Everything is checked here against centered finite
-differences of hat-bump perturbations of the smooth part.
+differences of hat-bump perturbations of the smooth part.  A hat changes
+only the steps under it: over a run [a, b) of them the bumped monodromy is
+U(1) U(b)^-1 H U(a), from the base dense pairs U and the run H alone.  The
+hat at x = 0 wraps, so it has a run from 0 and one to 1, a factor each.
 """
 
 from __future__ import annotations
@@ -18,14 +21,17 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import chebyshev
 
 from .brackets import ProductField
 from .floquet import second_floquet
 from .quadrature import grid_integral, trajectory_integral
-from .shooting import endpoint_column_variants, solve_fundamental
+from .shooting import _apply, _step_entries, solve_fundamental
 
 VANISH_GUARD = 1e-12
 _CHEB_NODES = np.cos(np.pi * (np.arange(8) + 0.5) / 8.0)
+_COMPANION = chebyshev.chebcompanion(np.eye(8)[7])  # chebroots' degree-7 band
+_COMPANION_SCALE = 0.5 / np.array([math.sqrt(0.5)] + [1.0] * 6)
 
 
 def weighted_integral(m, ta, tb):
@@ -176,24 +182,55 @@ def gradient_table(bundle, n):
             _field_at_sites(bundle.grad_g, xs))
 
 
-def _variant_roots(m, mu, d, lam_flat, msub_fn, steps):
-    """Zeros of the perturbed y2(1, .) near mu via Chebyshev interpolation.
+def _times(u, col):
+    """The matrix with rows (u[0], u[1]), (u[2], u[3]) applied to a column."""
+    return np.array((u[0] * col[0] + u[1] * col[1], u[2] * col[0] + u[3] * col[1]))
 
-    lam_flat holds the same 8 nodes per variant; returns one root per variant
-    (nan where the interpolant has no acceptable root).
-    """
-    psi, _ = endpoint_column_variants(msub_fn, m.atoms, lam_flat, (0.0, 1.0), steps)
-    nvar = lam_flat.size // 8
-    table = psi.reshape(nvar, 8)
-    coef = np.polynomial.chebyshev.chebfit(_CHEB_NODES, table.T, 7)
-    roots = np.full(nvar, np.nan)
-    for v in range(nvar):
-        cand = np.polynomial.chebyshev.chebroots(coef[:, v])
-        cand = cand[np.abs(cand.imag) < 1e-9].real
-        cand = cand[np.abs(cand) <= 1.02]
-        if cand.size:
-            roots[v] = mu + d * cand[np.argmin(np.abs(cand))]
-    return roots
+
+def _bumped_endpoints(m, lams, sites, n, eps, steps):
+    """(y2(1), y2'(1)) for m_s + eps hat, then m_s - eps hat, at each site and
+    lambda: lanes (sign, site, lambda), each run of steps under a hat in turn."""
+    pairs = [solve_fundamental(m, lam, steps) for lam in lams]
+    xs = pairs[0][0].xs
+    u = np.array([[t1.psi, t2.psi, t1.dpsi, t2.dpsi] for t1, t2 in pairs]).transpose(1, 2, 0)
+    jump = np.zeros(xs.size - 1)    # an atom is a zero-length step: its jump
+    for atom in m.atoms:
+        jump[(xs[:-1] == atom.q) & (xs[1:] == atom.q)] = atom.p
+    centre = np.mod(sites, n) / n
+    v = np.multiply.outer([0.0, 1.0], np.ones((2, centre.size, len(lams))))
+    # every site's run from max(centre - 1/n, 0), then site 0's tail run to 1
+    head = (np.arange(centre.size), np.maximum(centre - 1.0 / n, 0.0), centre + 1.0 / n)
+    for j, lo, hi in (head, (np.nonzero(centre == 0.0)[0], 1.0 - 1.0 / n, 1.0)):
+        a = np.searchsorted(xs, np.broadcast_to(lo, j.shape), "right") - 1
+        b = np.searchsorted(xs, np.broadcast_to(hi, j.shape), "left")
+        # rows (offset, site); an offset past a run's end is a zero-length step
+        off = np.arange(np.max(b - a, initial=0))[:, None]
+        i = np.minimum(a + off, xs.size - 2)
+        nodes = np.stack((xs[i], 0.5 * (xs[i] + xs[i + 1]), xs[i + 1]), axis=1)
+        hat = n * np.clip(1.0 - n * np.abs(np.mod(nodes - centre[j] + 0.5, 1.0) - 0.5), 0.0, None)
+        msub = (m.smooth_value(nodes)[:, :, None] + hat[:, :, None] * [[eps], [-eps]])[..., None]
+        h, p = (np.where(off < b - a, w, 0.0)[..., None] for w in (xs[i + 1] - xs[i], jump[i]))
+        col = _times(u[:, a], v[:, :, j])
+        for k in range(off.size):
+            d00, d01, d10, d11 = _step_entries(*(0.25 - lams * msub[k]), h[k])
+            col = _apply((d00, d01, d10 - lams * p[k], d11), *col)
+        # v + U(b)^-1 (H U(a) v - U(b) v): U(b)^-1 amplifies rounding where
+        # c = 1/4 - lambda m > 0, so it maps back only the change H makes
+        ub = u[:, b]
+        v[:, :, j] += (_times((ub[3], -ub[1], -ub[2], ub[0]), col - _times(ub, v[:, :, j]))
+                       / (ub[0] * ub[3] - ub[1] * ub[2]))
+    return _times(u[:, -1], v)
+
+
+def _cheb_roots(coef):
+    """Per column of Chebyshev coefficients, the real root nearest 0 within
+    [-1.02, 1.02] (nan if none): chebroots' companion matrices, one eigvals call."""
+    mats = _COMPANION - np.zeros((coef.shape[1], 1, 1))
+    mats[:, :, -1] -= (coef[:-1] / coef[-1]).T * _COMPANION_SCALE
+    t = np.linalg.eigvals(mats[:, ::-1, ::-1])
+    dist = np.where((np.abs(t.imag) < 1e-9) & (np.abs(t.real) <= 1.02), np.abs(t.real), np.inf)
+    best = np.argmin(dist, axis=1)
+    return np.where(np.isfinite(dist.min(axis=1)), t.real[np.arange(t.shape[0]), best], np.nan)
 
 
 def verify_gradients(m, point, n=256, eps=1e-5, steps=None, sites=None):
@@ -202,45 +239,37 @@ def verify_gradients(m, point, n=256, eps=1e-5, steps=None, sites=None):
     For every requested grid site, the smooth part is perturbed by
     +-eps * hat (the hat has unit mass and width 2/n) and mu, log|rho|, f, g
     are recomputed; the centered quotients approximate the gradient fields at
-    the site up to the O(1/n^2) smearing of the hat.  Each perturbed mu moves
-    by about eps max|grad mu| <= d/50, well inside the interpolation interval
-    [mu - d, mu + d]; a variant whose root is lost there raises RuntimeError
-    naming mu and the site.
+    the site up to the O(1/n^2) smearing of the hat.  Each bump's y2(1) and
+    y2'(1) at 8 Chebyshev nodes in [mu - d, mu + d] are U(1) U(b)^-1 H U(a),
+    H the steps under the hat (two runs for the hat at x = 0, which wraps).
+    Each perturbed mu, the root of the y2(1) interpolant, moves by about
+    eps max|grad mu| <= d/50; a lost root raises RuntimeError naming mu and
+    the site.
     """
     steps = steps or point.steps
     if steps % n:
         raise ValueError(f"steps={steps} must be a multiple of the site grid n={n}")
     bundle = gradient_bundle(m, point, steps=steps)
-    if sites is None:
-        sites = np.arange(n)
-    sites = np.asarray(sites, dtype=int)
+    sites = np.arange(n) if sites is None else np.asarray(sites, dtype=int)
     nsite = sites.size
     xq = sites / n
 
     mu = point.mu
     gm_max = float(np.max(np.abs(bundle.grad_mu.values)))
     d = max(1e-3 * max(1.0, abs(mu)), 50.0 * eps * max(gm_max, 1.0))
-    lam_flat = np.tile(mu + d * _CHEB_NODES, 2 * nsite)
-
-    def msub_fn(x):
-        # smooth part of each variant at x: m + eps hat, then m - eps hat, per site
-        base = float(m.smooth_value(x))
-        dist = np.abs(np.mod(x - xq + 0.5, 1.0) - 0.5)
-        hats = n * np.clip(1.0 - n * dist, 0.0, None)
-        return base + eps * np.concatenate((hats, -hats))
-
-    roots = _variant_roots(m, mu, d, lam_flat, lambda x: np.repeat(msub_fn(x), 8), steps)
-    lost = np.nonzero(np.isnan(roots))[0]
+    # variants run +eps over the sites, then -eps; one column of 8 nodes each
+    y2, dy2 = (end.reshape(2 * nsite, 8).T for end in
+               _bumped_endpoints(m, mu + d * _CHEB_NODES, sites, n, eps, steps))
+    t = _cheb_roots(chebyshev.chebfit(_CHEB_NODES, y2, 7))
+    lost = np.nonzero(np.isnan(t))[0]
     if lost.size:
         v = int(lost[0])
         raise RuntimeError(f"lost the perturbed root near mu={mu:.8g} at site "
                            f"{int(sites[v % nsite])} ({'+' if v < nsite else '-'}eps)")
 
-    # one more sweep exactly at the perturbed roots gives the multipliers
-    _, dpsi = endpoint_column_variants(msub_fn, m.atoms, roots, (0.0, 1.0), steps)
-    mu_p, mu_m = roots[:nsite], roots[nsite:]
-    rho_p, rho_m = dpsi[:nsite], dpsi[nsite:]
-    log_p, log_m = np.log(np.abs(rho_p)), np.log(np.abs(rho_m))
+    mu_p, mu_m = np.split(mu + d * t, 2)
+    rho = chebyshev.chebval(t, chebyshev.chebfit(_CHEB_NODES, dy2, 7), tensor=False)
+    log_p, log_m = np.split(np.log(np.abs(rho)), 2)
 
     fd_mu = (mu_p - mu_m) / (2.0 * eps)
     fd_log = (log_p - log_m) / (2.0 * eps)

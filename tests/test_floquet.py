@@ -316,15 +316,16 @@ def test_periodic_spectrum_closed_gaps_are_the_auxiliary_points():
     assert [e.lam for e in periodic_spectrum(m, 1e-6, 100.0)] == [e.lam for e in edges]
 
 
-def test_periodic_spectrum_degenerate_point_inside_an_open_gap():
-    # |Delta(mu_11)| - 1 is 1.1e-9, below the degeneracy cut, and y1'(1, mu)
-    # is far from 0, yet mu sits 82% of the way into a gap 8.5e-3 wide: the
-    # edges are polished on both sides of it, not pinned to it
+def test_periodic_spectrum_point_inside_an_open_gap_is_not_degenerate():
+    # |Delta(mu_11)| - 1 is 1.1e-9, yet mu sits 82% of the way into a gap
+    # 8.5e-3 wide, where |rho - 1/rho| is 9.4e-5: the point is not degenerate,
+    # it has a second Floquet solution, and the edges lie on both sides of it
     m = two_mode()
     points = auxiliary_spectrum(m, lam_min=1200.0, lam_max=1210.0)
-    assert len(points) == 1 and points[0].degenerate
-    with pytest.raises(JordanGapError):
-        second_floquet(m, points[0])
+    assert len(points) == 1 and not points[0].degenerate
+    _, _, y, _ = second_floquet(m, points[0])
+    assert y.psi[-1] == pytest.approx(y.psi[0] / points[0].rho, rel=1e-9)
+    assert y.dpsi[-1] == pytest.approx(y.dpsi[0] / points[0].rho, rel=1e-9)
     edges = periodic_spectrum(m, 1200.0, 1210.0, points=points)
     assert [(e.kind, e.multiplicity) for e in edges] == [("antiperiodic", 1)] * 2
     np.testing.assert_allclose([e.lam for e in edges],

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from chspectral import variations
-from chspectral.coefficient import make_coefficient
+from chspectral.coefficient import BumpedSmooth, PeriodicCoefficient, make_coefficient
 from chspectral.floquet import JordanGapError, auxiliary_spectrum
-from chspectral.shooting import solve_fundamental, trajectory_wronskian
+from chspectral.shooting import fundamental_matrix, solve_fundamental, trajectory_wronskian
 from chspectral.variations import (
     gradient_bundle,
     mu_gradient,
@@ -197,13 +197,13 @@ def test_verify_gradients_lost_root_names_site(monkeypatch):
     m = const_m(1.0)
     pt = auxiliary_spectrum(m, count=1, steps=512)[0]
 
-    def lose_one(m, mu, d, lam_flat, msub_fn, steps):
+    def lose_one(coef):
         # variants run +eps over the sites, then -eps: index 4 is site 17, -eps
-        roots = np.full(lam_flat.size // 8, mu)
-        roots[4] = np.nan
-        return roots
+        t = np.zeros(coef.shape[1])
+        t[4] = np.nan
+        return t
 
-    monkeypatch.setattr(variations, "_variant_roots", lose_one)
+    monkeypatch.setattr(variations, "_cheb_roots", lose_one)
     with pytest.raises(RuntimeError, match=r"mu=.* at site 17 \(-eps\)"):
         verify_gradients(m, pt, n=64, eps=1e-5, steps=512, sites=[3, 17, 40])
 
@@ -213,3 +213,51 @@ def test_verify_gradients_grid_mismatch():
     pt = auxiliary_spectrum(m, count=1, steps=512)[0]
     with pytest.raises(ValueError):
         verify_gradients(m, pt, n=100, eps=1e-5, steps=512)
+
+
+BUMPED_MEMBERS = {
+    "two_mode": {"smooth": {"kind": "fourier", "a0": 1.0, "cos": [0.25],
+                            "sin": [0.0, 0.1]}},
+    "mixed": {"smooth": {"kind": "fourier", "a0": 1.0, "cos": [0.3], "sin": [0.0, 0.1]},
+              "atoms": [{"q": 0.37, "p": 0.6}, {"q": 0.999, "p": 0.4}]},
+    "peakon_offset": {"smooth": {"kind": "const", "value": 0.0},
+                      "atoms": [{"q": 0.3, "p": 1.0}]},
+    "indefinite": {"smooth": {"kind": "fourier", "a0": 0.2, "cos": [1.0]}},
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUMPED_MEMBERS))
+def test_bumped_endpoints_match_the_bumped_coefficient(name):
+    # the oracle's factorisation U(1) U(b)^-1 H U(a) against a whole-period
+    # integration of m +- eps hat: the hat at site 0 wraps, the one at 63 ends
+    # at x = 1, and those at 0, 19, 24 and 63 straddle an atom of mixed or
+    # peakon_offset, where the run takes the atom's jump
+    m = make_coefficient(BUMPED_MEMBERS[name])
+    n, steps, eps = 64, 1024, 1e-3
+    sites = [0, 1, 19, 24, n // 2, n - 1]
+    lams = np.array([-50.0, 0.3, 39.4, 551.5])
+    y2, dy2 = variations._bumped_endpoints(m, lams, sites, n, eps, steps)
+    for i, sign in enumerate((eps, -eps)):
+        for k, site in enumerate(sites):
+            bumped = PeriodicCoefficient(BumpedSmooth(m.smooth, site, n, sign), m.atoms)
+            for j, lam in enumerate(lams):
+                U = fundamental_matrix(bumped, lam, steps=steps)
+                scale = max(abs(U.y2), abs(U.dy2))
+                assert abs(y2[i, k, j] - U.y2) <= 1e-10 * scale
+                assert abs(dy2[i, k, j] - U.dy2) <= 1e-10 * scale
+
+
+def test_batched_chebyshev_roots_match_chebroots():
+    rng = np.random.default_rng(3)
+    nodes = np.cos(np.pi * (np.arange(8) + 0.5) / 8.0)
+    tables = rng.normal(size=(8, 400)) + np.linspace(-1.5, 1.5, 400)
+    coef = np.polynomial.chebyshev.chebfit(nodes, tables, 7)
+    want = np.full(coef.shape[1], np.nan)
+    for v in range(coef.shape[1]):
+        cand = np.polynomial.chebyshev.chebroots(coef[:, v])
+        cand = cand[np.abs(cand.imag) < 1e-9].real
+        cand = cand[np.abs(cand) <= 1.02]
+        if cand.size:
+            want[v] = cand[np.argmin(np.abs(cand))]
+    assert 0 < np.sum(np.isnan(want)) < want.size
+    np.testing.assert_array_equal(variations._cheb_roots(coef), want)
