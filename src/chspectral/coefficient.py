@@ -55,14 +55,12 @@ class ConstantSmooth:
         return self.c == 0.0
 
     def value(self, x):
-        if isinstance(x, np.ndarray):
-            return np.full_like(x, self.c, dtype=float)
-        return self.c
+        out = np.full(np.shape(x), self.c)
+        return out if isinstance(x, np.ndarray) else float(out)
 
     def derivative(self, x):
-        if isinstance(x, np.ndarray):
-            return np.zeros_like(x, dtype=float)
-        return 0.0
+        out = np.zeros(np.shape(x))
+        return out if isinstance(x, np.ndarray) else float(out)
 
     def spec(self):
         return {"kind": "const", "value": self.c}
@@ -83,42 +81,26 @@ class FourierSmooth:
         return self.a0 == 0.0 and not any(self.cos) and not any(self.sin)
 
     def value(self, x):
-        if isinstance(x, np.ndarray):
-            out = np.full_like(x, self.a0, dtype=float)
-            for k, a in enumerate(self.cos, start=1):
-                if a:
-                    out += a * np.cos(TWO_PI * k * x)
-            for k, b in enumerate(self.sin, start=1):
-                if b:
-                    out += b * np.sin(TWO_PI * k * x)
-            return out
-        out = self.a0
+        xa = np.asarray(x, dtype=float)
+        out = np.full(xa.shape, self.a0)
         for k, a in enumerate(self.cos, start=1):
             if a:
-                out += a * math.cos(TWO_PI * k * x)
+                out += a * np.cos(TWO_PI * k * xa)
         for k, b in enumerate(self.sin, start=1):
             if b:
-                out += b * math.sin(TWO_PI * k * x)
-        return out
+                out += b * np.sin(TWO_PI * k * xa)
+        return out if isinstance(x, np.ndarray) else float(out)
 
     def derivative(self, x):
-        if isinstance(x, np.ndarray):
-            out = np.zeros_like(x, dtype=float)
-            for k, a in enumerate(self.cos, start=1):
-                if a:
-                    out -= a * TWO_PI * k * np.sin(TWO_PI * k * x)
-            for k, b in enumerate(self.sin, start=1):
-                if b:
-                    out += b * TWO_PI * k * np.cos(TWO_PI * k * x)
-            return out
-        out = 0.0
+        xa = np.asarray(x, dtype=float)
+        out = np.zeros(xa.shape)
         for k, a in enumerate(self.cos, start=1):
             if a:
-                out -= a * TWO_PI * k * math.sin(TWO_PI * k * x)
+                out -= a * TWO_PI * k * np.sin(TWO_PI * k * xa)
         for k, b in enumerate(self.sin, start=1):
             if b:
-                out += b * TWO_PI * k * math.cos(TWO_PI * k * x)
-        return out
+                out += b * TWO_PI * k * np.cos(TWO_PI * k * xa)
+        return out if isinstance(x, np.ndarray) else float(out)
 
     def spec(self):
         return {"kind": "fourier", "a0": self.a0, "cos": list(self.cos), "sin": list(self.sin)}

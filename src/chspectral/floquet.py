@@ -1,16 +1,19 @@
 """Floquet discriminant, multipliers, auxiliary spectrum, and band/gap layout.
 
 The discriminant is half the monodromy trace; auxiliary points are the zeros
-mu_i of y2(1, .) with multiplier rho_i = y2'(1, mu_i), found by a coarse
-batched scan plus full-step polishing.  Band edges are the lambda where the
-discriminant meets +-1.  Each spectral gap holds exactly one mu_i (Hill's
-theorem), so the edges are bracketed between consecutive auxiliary points;
-an auxiliary point on an edge is that edge, counted twice when it closes
-its gap.
+mu_i of y2(1, .) with multiplier rho_i = y2'(1, mu_i).  The Sturm count (the
+sign changes of y2(., lambda) on (0, 1), #{0 < mu_i < lambda} for lambda > 0)
+brackets each point alone and gives its index; brentq polishes it at the full
+step count.  Band edges are the lambda where the discriminant meets +-1.
+Each spectral gap holds exactly one mu_i (Hill's theorem), so the edges are
+bracketed between consecutive auxiliary points; an auxiliary point on an
+edge is that edge, counted twice when it closes its gap.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -25,10 +28,10 @@ from .shooting import (
     positive_part_vanishes,
     propagate,
     solve_fundamental,
+    zero_count,
 )
 
-SCAN_DENSITY = 512      # coarse scan nodes per unit of lambda
-GUARD_BAND = 1e-6       # roots with |lambda| at or below this are discarded
+GUARD_BAND = 1e-6       # default lower edge of the auxiliary window, just above 0
 DEGENERATE_TOL = 1e-8   # |y1(1, mu) - y2'(1, mu)| (= 1/rho - rho) cut for the band-edge flag
 JORDAN_TOL = 1e-6       # |y1'(1, mu)| scale separating U = +-I from a Jordan block
 EDGE_TOL = 1e-6         # relative distance at which a point counts as on an edge
@@ -110,24 +113,12 @@ def multipliers(delta):
     return big, 1.0 / big
 
 
-def _scan_nodes(lo, hi, density=SCAN_DENSITY):
-    # anchored at integer multiples of 1/density so lambda = 0 lands on a node
-    k0 = math.ceil(lo * density)
-    k1 = math.floor(hi * density)
-    nodes = np.arange(k0, k1 + 1, dtype=float) / density
-    if nodes.size == 0 or nodes[0] > lo + 1e-15:
-        nodes = np.concatenate(([lo], nodes))
-    if nodes[-1] < hi - 1e-15:
-        nodes = np.concatenate((nodes, [hi]))
-    return nodes
-
-
-def _polish_bracket(g, a, b, max_expand=4):
+def _polish_bracket(g, a, b):
     """brentq with sign re-checks; expands the bracket if the signs moved."""
     fa, fb = g(a), g(b)
     width = b - a
     tries = 0
-    while fa * fb > 0.0 and tries < max_expand:
+    while fa * fb > 0.0 and tries < 8:
         a, b = a - width, b + width
         fa, fb = g(a), g(b)
         tries += 1
@@ -140,23 +131,17 @@ def _polish_bracket(g, a, b, max_expand=4):
     return brentq(g, a, b, xtol=_BRENT_XTOL, rtol=_BRENT_RTOL)
 
 
-def _dedupe(values, scale_tol=1e-9):
-    out = []
-    for v in sorted(values):
-        if not out or abs(v - out[-1]) > scale_tol * max(1.0, abs(v)):
-            out.append(v)
-    return out
-
-
 def auxiliary_spectrum(m, lam_min=GUARD_BAND, lam_max=None, count=None,
                        steps=DEFAULT_STEPS):
-    """Zeros of y2(1, .) in a window, polished at full step resolution.
+    """Zeros mu_i of y2(1, .) in a window, each bracketed alone by the Sturm count.
 
-    Give lam_max, count, or both.  With count alone the window grows until
-    enough roots appear; with both, at most count roots are returned.  The
-    coarse scan runs at steps // 8 and every bracket is re-polished at the
-    full step count.  With count alone and lam_min >= 0, a coefficient with
-    no positive part raises ValueError at once: it has no point above 0.
+    Give lam_max, count, or both; count keeps the window's lowest points.  The
+    window, cut at 0 when it straddles 0, is bisected on zero_count until each
+    piece holds one point, which brentq polishes at the full step count.  A
+    point above 0 has index N(mu) + 1, one below 0 has -1, -2, ... downward.
+    With count alone the top grows by max(2 hi, hi + 50), one count a step, to
+    at most 12 tops; with lam_min >= 0 a coefficient with no positive part
+    raises ValueError at once: it has no point above 0.
     """
     if lam_max is None and count is None:
         raise ValueError("auxiliary_spectrum needs lam_max or count")
@@ -168,21 +153,42 @@ def auxiliary_spectrum(m, lam_min=GUARD_BAND, lam_max=None, count=None,
         # purely atomic coefficient: y2(1, .) is a polynomial of degree
         # len(atoms), so the auxiliary spectrum is finite
         count = min(count, len(m.atoms))
+    g = functools.lru_cache(maxsize=None)(_dirichlet(m, steps))
+
+    @functools.lru_cache(maxsize=None)
+    def signed(lam):
+        # #{0 < mu < lam} above 0, -#{lam < mu < 0} below: nondecreasing in lam
+        return int(math.copysign(zero_count(m, lam, steps), lam))
+
     lo = float(lam_min)
-    hi = float(lam_max) if lam_max is not None else max(2.0 * lo, lo + 50.0)
-    scan_steps = max(256, steps // 8)
-    roots = _aux_roots(m, lo, hi, scan_steps, steps)
-    for _ in range(11):
-        if lam_max is not None or len(roots) >= count:
-            break
-        # grow upward by the rule that set the first window; scan only the new part
-        lo, hi = hi, max(2.0 * hi, hi + 50.0)
-        roots = _dedupe(roots + _aux_roots(m, lo, hi, scan_steps, steps))
-    if lam_max is None and len(roots) < count:
-        raise RuntimeError(f"found only {len(roots)} auxiliary points below lambda={hi:g}")
-    if count is not None:
-        roots = roots[:count]
-    return [_assemble_point(m, k + 1, mu, steps) for k, mu in enumerate(roots)]
+    tops = [float(lam_max) if lam_max is not None else max(2.0 * lo, lo + 50.0)]
+    while lam_max is None and signed(tops[-1]) - signed(lo) < count and len(tops) < 12:
+        tops.append(max(2.0 * tops[-1], tops[-1] + 50.0))
+    if lam_max is None and signed(tops[-1]) - signed(lo) < count:
+        raise RuntimeError(f"found only {signed(tops[-1]) - signed(lo)} auxiliary points "
+                           f"below lambda={tops[-1]:g}")
+    cuts = [c for c in sorted({lo, 0.0, *tops}) if lo <= c <= tops[-1]]
+
+    def points(a, b):
+        # (mu, index) of the points in (a, b), ascending
+        inside = signed(b) - signed(a)
+        index = signed(a) + 1 if a >= 0.0 else signed(b) - 1
+        c = 0.5 * (a + b)
+        if inside == 1 and g(a) * g(b) < 0.0:
+            yield brentq(g, a, b, xtol=_BRENT_XTOL, rtol=_BRENT_RTOL), index
+        elif inside and a < c < b:
+            yield from points(a, c)
+            yield from points(c, b)
+        elif inside == 1:
+            # too narrow to split: the point sits at an end, within rounding of y2(1)
+            yield min((a, b), key=lambda x: abs(g(x))), index
+        elif inside:
+            raise RuntimeError(f"{inside} auxiliary points counted in an unsplittable "
+                               f"piece at lambda={a:.17g}")
+
+    found = itertools.chain.from_iterable(points(a, b) for a, b in zip(cuts, cuts[1:]))
+    return [_assemble_point(m, index, mu, steps)
+            for mu, index in itertools.islice(found, count)]
 
 
 def _dirichlet(m, steps):
@@ -190,19 +196,6 @@ def _dirichlet(m, steps):
     def g(lam):
         return propagate(m, lam, ShootingState(0.0, 0.0, 1.0, lam), 1.0, steps).psi
     return g
-
-
-def _aux_roots(m, lo, hi, scan_steps, steps):
-    nodes = _scan_nodes(lo, hi)
-    vals, _ = endpoint_column(m, nodes, (0.0, 1.0), scan_steps)
-    g = _dirichlet(m, steps)
-    sign = np.sign(vals)
-    roots = [float(nodes[j]) for j in np.nonzero(sign == 0.0)[0]]
-    for j in np.nonzero(sign[:-1] * sign[1:] < 0.0)[0]:
-        root = _polish_bracket(g, float(nodes[j]), float(nodes[j + 1]))
-        if root is not None:
-            roots.append(root)
-    return [r for r in _dedupe(roots) if abs(r) > GUARD_BAND]
 
 
 def _assemble_point(m, index, mu, steps):
@@ -217,7 +210,7 @@ def _assemble_point(m, index, mu, steps):
 def refine_point(m, point, steps):
     """Re-polish an auxiliary point at a different step count."""
     w = max(1e-7, 1e-9 * max(1.0, abs(point.mu)))
-    mu = _polish_bracket(_dirichlet(m, steps), point.mu - w, point.mu + w, max_expand=8)
+    mu = _polish_bracket(_dirichlet(m, steps), point.mu - w, point.mu + w)
     if mu is None:
         raise RuntimeError(f"lost the root near mu={point.mu:.12g} at steps={steps}")
     return _assemble_point(m, point.index, mu, steps)

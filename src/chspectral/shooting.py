@@ -102,9 +102,8 @@ def _segment(steps, a, b):
 
 
 def _check_guard(psi, dpsi):
-    bad = (np.any(np.abs(psi) > BLOWUP_GUARD) or np.any(np.abs(dpsi) > BLOWUP_GUARD)
-           or not (np.all(np.isfinite(psi)) and np.all(np.isfinite(dpsi))))
-    if bad:
+    # nan and inf fail the comparison too
+    if not (np.all(np.abs(psi) <= BLOWUP_GUARD) and np.all(np.abs(dpsi) <= BLOWUP_GUARD)):
         raise BlowUpError("trajectory exceeded the overflow guard 1e300")
 
 
@@ -315,8 +314,32 @@ def positive_part_vanishes(m, steps=DEFAULT_STEPS):
     return max(peaks) <= 0.0
 
 
+def zero_count(m, lam, steps=DEFAULT_STEPS):
+    """Sign changes of y2(., lam) over (0, 1]: the Sturm count of auxiliary points.
+
+    It is #{0 < mu_i < lam} for lam > 0 and #{lam < mu_i < 0} for lam < 0, for
+    sign-indefinite m too.  An RK4 stretch counts over its step rows; an exact
+    stretch (psi'' = psi/4) holds at most one zero, so only its ends are read.
+    """
+    rows = [np.zeros(1)]        # y2 > 0 just right of x = 0
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def advance(psi, dpsi, a, b):
+        if m.smooth_is_zero:
+            psi, dpsi = _exact_advance(psi.copy(), dpsi.copy(), a, b)
+        else:
+            n, h = _segment(steps, a, b)
+            psi, dpsi = _apply(_prefix_products(_step_rows(m, lam, a, h, n)), psi, dpsi)
+        rows.append(psi)
+        return psi[-1:], dpsi[-1:]
+
+    _march(m.atoms, lam, np.zeros(1), np.ones(1), 0.0, 1.0, advance)
+    negative = np.signbit(np.concatenate(rows))
+    return int(np.count_nonzero(negative[1:] != negative[:-1]))
+
+
 # ---------------------------------------------------------------------------
-# batched endpoint maps over arrays of lambda (scan workhorse)
+# batched endpoint maps over arrays of lambda (discriminant sweeps)
 
 def endpoint_column(m, lams, column=(0.0, 1.0), steps=DEFAULT_STEPS, x1=1.0):
     """Endpoint (psi, psi') at x1 for an array of spectral points.

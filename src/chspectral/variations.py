@@ -252,7 +252,7 @@ def verify_gradients(m, point, n=256, eps=1e-5, steps=None, sites=None):
     bundle = gradient_bundle(m, point, steps=steps)
     sites = np.arange(n) if sites is None else np.asarray(sites, dtype=int)
     nsite = sites.size
-    xq = sites / n
+    xq = np.mod(sites, n) / n     # site -1 is site n - 1, as for the hat
 
     mu = point.mu
     gm_max = float(np.max(np.abs(bundle.grad_mu.values)))

@@ -52,6 +52,15 @@ def test_fourier_smooth_matches_series():
         atol=1e-15)
 
 
+def test_scalar_takes_the_array_path():
+    xs = np.array([0.0, 0.17, 0.5, 0.99])
+    for s in (ConstantSmooth(1.5), FourierSmooth(a0=1.0, cos=(0.3,), sin=(0.0, -0.1))):
+        for method in (s.value, s.derivative):
+            got = [method(x) for x in xs]
+            assert all(type(v) is float for v in got)
+            np.testing.assert_array_equal(got, method(xs))
+
+
 def test_fourier_smooth_periodic():
     s = FourierSmooth(a0=0.5, cos=(0.2, 0.05), sin=(0.1,))
     assert s.value(1.3) == pytest.approx(s.value(0.3), abs=1e-14)

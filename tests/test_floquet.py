@@ -139,21 +139,65 @@ def test_auxiliary_spectrum_count_truncates():
     assert len(pts) == 2
 
 
-def test_auxiliary_spectrum_count_scans_only_the_added_window(monkeypatch):
-    scanned = []
-    real = floquet._aux_roots
+def test_auxiliary_spectrum_never_calls_endpoint_column(monkeypatch):
+    def no_scan(*args, **kwargs):
+        raise AssertionError("auxiliary_spectrum ran a batched scan")
 
-    def recording(m, lo, hi, *args):
-        scanned.append((lo, hi))
-        return real(m, lo, hi, *args)
-
-    monkeypatch.setattr(floquet, "_aux_roots", recording)
+    monkeypatch.setattr(floquet, "endpoint_column", no_scan)
     grown = auxiliary_spectrum(two_mode(), count=3)
-    # two_mode has two points below 50: the window grows once, and the second
-    # scan starts where the first one stopped
-    assert len(scanned) == 2 and scanned[1][0] == scanned[0][1]
     window = auxiliary_spectrum(two_mode(), lam_max=100.0)
-    assert [(p.index, p.mu) for p in grown] == [(p.index, p.mu) for p in window[:3]]
+    assert [(p.index, p.mu) for p in grown] == [(p.index, p.mu) for p in window]
+    assert [p.index for p in window] == [1, 2, 3]
+
+
+def test_auxiliary_spectrum_window_matches_count_on_two_mode():
+    # every point below 4000, the top three included, whether asked for by
+    # window or by count
+    window = auxiliary_spectrum(two_mode(), lam_max=4000.0)
+    counted = auxiliary_spectrum(two_mode(), count=20)
+    assert [p.index for p in window] == list(range(1, 21))
+    assert [p.index for p in counted] == list(range(1, 21))
+    np.testing.assert_allclose([p.mu for p in window], [p.mu for p in counted], rtol=1e-12)
+    np.testing.assert_allclose([p.mu for p in window[-3:]],
+                               [3227.97, 3596.55, 3985.06], atol=1e-2)
+
+
+def test_auxiliary_spectrum_indices_are_sturm_indices():
+    # [20, 100] holds mu_2 and mu_3 of two_mode, not a first and a second point
+    pts = auxiliary_spectrum(two_mode(), lam_min=20.0, lam_max=100.0)
+    assert [p.index for p in pts] == [2, 3]
+    np.testing.assert_allclose([p.mu for p in pts], [39.445, 90.465], atol=1e-3)
+    # below 0 the index counts down from 0: -1 is the point nearest 0
+    m = make_coefficient({"smooth": {"kind": "fourier", "a0": 0.2, "cos": [1.0]}})
+    pts = auxiliary_spectrum(m, lam_min=-300.0, lam_max=120.0)
+    assert [p.index for p in pts] == [-2, -1, 1, 2]
+    np.testing.assert_allclose([p.mu for p in pts], [-243.888, -27.171, 96.279, 100.923],
+                               atol=1e-3)
+
+
+def test_auxiliary_spectrum_separates_the_close_pair():
+    # 551.511 and 551.691 of 0.2 + cos 2 pi x are 0.18 apart; y2(1) has the
+    # same sign at 540 and 560, the count tells them apart
+    m = make_coefficient({"smooth": {"kind": "fourier", "a0": 0.2, "cos": [1.0]}})
+    pts = auxiliary_spectrum(m, lam_min=540.0, lam_max=560.0)
+    assert [p.index for p in pts] == [3, 4]
+    np.testing.assert_allclose([p.mu for p in pts], [551.511, 551.691], atol=1e-3)
+
+
+def test_auxiliary_spectrum_window_ending_on_a_point():
+    # a window edge at a polished mu leaves y2(1) there at rounding level, so
+    # the count and the sign of y2(1) may disagree: the point is kept or
+    # dropped, never lost from the interior, and the call neither fails nor
+    # renumbers
+    for m in (const_m(1.0), two_mode()):
+        ref = auxiliary_spectrum(m, lam_max=200.0)
+        for k, pt in enumerate(ref):
+            below = auxiliary_spectrum(m, lam_max=pt.mu)
+            above = auxiliary_spectrum(m, lam_min=pt.mu, lam_max=200.0)
+            assert len(below) in (k, k + 1) and len(above) in (len(ref) - k, len(ref) - k - 1)
+            got = below + above
+            assert [p.index for p in got] == [p.index for p in ref]
+            np.testing.assert_allclose([p.mu for p in got], [p.mu for p in ref], rtol=1e-13)
 
 
 def test_auxiliary_spectrum_count_grows_upward_from_negative_lam_min():

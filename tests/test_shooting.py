@@ -15,6 +15,7 @@ from chspectral.shooting import (
     solve_fundamental,
     trajectory_wronskian,
     wronskian,
+    zero_count,
 )
 
 
@@ -208,6 +209,26 @@ def test_endpoint_column_matches_scalar():
 def test_blowup_guard():
     with pytest.raises(BlowUpError):
         fundamental_matrix(const_m(1.0), lam=-1e8, steps=256)
+    with pytest.raises(BlowUpError):
+        propagate(const_m(1.0), 1.0, ShootingState(0.0, math.nan, 1.0, 1.0), 1.0, steps=256)
+
+
+def test_zero_count_matches_the_dense_trajectory():
+    # sign changes of y2 on (0, 1]; atom-only stretches are read at their ends
+    mixed = make_coefficient({"smooth": {"kind": "fourier", "a0": 0.2, "cos": [1.0]},
+                              "atoms": [{"q": 0.3, "p": 0.5}]})
+    atoms = make_coefficient({"smooth": {"kind": "const", "value": 0.0},
+                              "atoms": [{"q": 0.2, "p": 1.0}, {"q": 0.6, "p": 2.0},
+                                        {"q": 0.9, "p": -0.5}]})
+    for m in (mixed, atoms):
+        for lam in (-300.0, -40.0, 5.0, 50.0, 300.0, 551.6):
+            _, t2 = solve_fundamental(m, lam, steps=4096)
+            negative = np.signbit(t2.psi[1:])
+            assert zero_count(m, lam) == np.count_nonzero(negative[1:] != negative[:-1])
+    # m = 1: the auxiliary points are 1/4 + (n pi)^2
+    for lam in (5.0, 10.5, 100.0, 400.0):
+        want = sum(0.25 + (n * math.pi) ** 2 < lam for n in range(1, 10))
+        assert zero_count(const_m(1.0), lam) == want
 
 
 # ---------------------------------------------------------------------------

@@ -193,6 +193,22 @@ def test_verify_gradients_site_subset():
     assert chk.rel_mu < 5e-4
 
 
+def test_verify_gradients_sites_wrap_like_the_hat():
+    # sites 64, -1 and 69 on the n = 64 grid are sites 0, 63 and 5, for the
+    # analytic fields as for the finite-difference hats
+    m = two_mode()
+    pt = auxiliary_spectrum(m, count=1)[0]
+    wrapped = verify_gradients(m, pt, n=64, steps=1024, sites=[64, -1, 69])
+    plain = verify_gradients(m, pt, n=64, steps=1024, sites=[0, 63, 5])
+    for field in ("mu", "log_rho", "f", "g"):
+        np.testing.assert_array_equal(getattr(wrapped, "analytic_" + field),
+                                      getattr(plain, "analytic_" + field))
+        np.testing.assert_array_equal(getattr(wrapped, "fd_" + field),
+                                      getattr(plain, "fd_" + field))
+    table = variations.gradient_table(plain.bundle, 64)
+    np.testing.assert_array_equal(plain.analytic_mu, table[1][[0, 63, 5]])
+
+
 def test_verify_gradients_lost_root_names_site(monkeypatch):
     m = const_m(1.0)
     pt = auxiliary_spectrum(m, count=1, steps=512)[0]
