@@ -24,11 +24,8 @@ from .coefficient import (
 from .shooting import (
     DEFAULT_STEPS,
     BlowUpError,
-    ShootingState,
     fundamental_matrix,
-    propagate,
     solve_fundamental,
-    wronskian,
 )
 from .floquet import (
     JordanGapError,
@@ -56,7 +53,6 @@ from .brackets import (
 from .variations import (
     gradient_bundle,
     gradient_table,
-    mu_gradient,
     norming_constant,
     positivity_residual,
     verify_gradients,

@@ -131,7 +131,7 @@ def cmd_discriminant(args):
 
 def cmd_spectrum(args):
     m = _load_config(args)
-    lo = GUARD_BAND if args.lambda_min is None else max(args.lambda_min, GUARD_BAND)
+    lo = GUARD_BAND if args.lambda_min is None else args.lambda_min
     hi = 50.0 if args.lambda_max is None else args.lambda_max
     rows = []
     if hi > lo:

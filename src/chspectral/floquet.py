@@ -22,11 +22,9 @@ from scipy.optimize import brentq
 
 from .shooting import (
     DEFAULT_STEPS,
-    ShootingState,
     endpoint_column,
     fundamental_matrix,
     positive_part_vanishes,
-    propagate,
     solve_fundamental,
     zero_count,
 )
@@ -194,7 +192,7 @@ def auxiliary_spectrum(m, lam_min=GUARD_BAND, lam_max=None, count=None,
 def _dirichlet(m, steps):
     """lam -> y2(1, lam), whose zeros are the auxiliary points."""
     def g(lam):
-        return propagate(m, lam, ShootingState(0.0, 0.0, 1.0, lam), 1.0, steps).psi
+        return fundamental_matrix(m, lam, 1.0, steps).y2
     return g
 
 
@@ -221,8 +219,9 @@ def _jordan(point):
     return point.degenerate and abs(point.dy1_end) > JORDAN_TOL * max(1.0, abs(point.mu))
 
 
-def second_floquet(m, point, steps=None):
-    """Trajectories (y1, y2, y, b) at mu over one period [0, 1].
+def second_floquet(m, point):
+    """Trajectories (y1, y2, y, b) at mu over one period [0, 1], integrated at
+    the point's own step count, the one its mu was polished at.
 
     y1, y2 are the fundamental pair it integrates, returned so that callers
     need not integrate them again.  y2 carries multiplier rho, y2(x+1) =
@@ -236,7 +235,7 @@ def second_floquet(m, point, steps=None):
         raise JordanGapError(
             f"monodromy at mu={point.mu:.8g} is a nontrivial Jordan block; "
             "gradient of the multiplier is undefined there")
-    t1, t2 = solve_fundamental(m, point.mu, steps=steps or point.steps)
+    t1, t2 = solve_fundamental(m, point.mu, steps=point.steps)
     if point.degenerate:
         return t1, t2, t1, 0.0
     b = point.dy1_end / (1.0 / point.rho - point.rho)

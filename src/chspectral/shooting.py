@@ -30,16 +30,6 @@ class BlowUpError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class ShootingState:
-    """Cauchy data (psi, psi') at position x for spectral parameter lam."""
-
-    x: float
-    psi: float
-    dpsi: float
-    lam: float
-
-
-@dataclass(frozen=True)
 class FundamentalMatrix:
     """Transfer matrix U(x, lam) = [[y1, y2], [dy1, dy2]] with unit det."""
 
@@ -88,12 +78,6 @@ class SolutionTrajectory:
         return float(self.psi[idx[0]])
 
 
-def _segment_breaks(atoms, x0, x1):
-    """Atom crossing positions in [x0, x1), ordered."""
-    return sorted((max(a.q + k, x0), a.p) for a in atoms
-                  for k in range(math.ceil(x0 - a.q), math.ceil(x1 - 1e-14 - a.q)))
-
-
 def _segment(steps, a, b):
     # even step count so Simpson applies segment-wise; returns (n, h)
     n = max(2, int(math.ceil(steps * (b - a))))
@@ -107,17 +91,20 @@ def _check_guard(psi, dpsi):
         raise BlowUpError("trajectory exceeded the overflow guard 1e300")
 
 
-def _march(atoms, lam, psi, dpsi, x0, x1, advance):
-    """Carry Cauchy data from x0 to x1: advance(psi, dpsi, a, b) across each
-    atom-free stretch, psi' -> psi' - lam p psi at each atom (arrays change in
-    place).  Overflow ends as inf or nan, which the guard turns into BlowUpError.
+def _march(atoms, lam, psi, dpsi, x1, advance):
+    """Carry Cauchy data from 0 to x1: advance(psi, dpsi, a, b) across each
+    atom-free stretch, psi' -> psi' - lam p psi at each atom in [0, x1) (atoms
+    come sorted by q; arrays change in place).  Overflow ends as inf or nan,
+    which the guard turns into BlowUpError.
     """
-    pos = x0
-    for break_x, weight in _segment_breaks(atoms, x0, x1):
-        if break_x > pos:
-            psi, dpsi = advance(psi, dpsi, pos, break_x)
-            pos = break_x
-        dpsi -= lam * weight * psi
+    pos = 0.0
+    for atom in atoms:
+        if atom.q >= x1 - 1e-14:
+            break
+        if atom.q > pos:
+            psi, dpsi = advance(psi, dpsi, pos, atom.q)
+            pos = atom.q
+        dpsi -= lam * atom.p * psi
     if x1 > pos:
         psi, dpsi = advance(psi, dpsi, pos, x1)
     _check_guard(psi, dpsi)
@@ -219,19 +206,6 @@ def _one_lambda(m, lam, steps):
 # ---------------------------------------------------------------------------
 # public operations
 
-def propagate(m, lam, state, x1, steps=DEFAULT_STEPS):
-    """Advance Cauchy data from state.x to x1 (endpoint only).
-
-    steps counts RK4 steps per unit length; stretches with an identically zero
-    smooth part use the exact propagator instead.
-    """
-    if x1 < state.x:
-        raise ValueError("backward propagation is not supported")
-    psi, dpsi = _march(m.atoms, lam, state.psi, state.dpsi, state.x, x1,
-                       _one_lambda(m, lam, steps))
-    return ShootingState(x=x1, psi=float(psi), dpsi=float(dpsi), lam=lam)
-
-
 def solve_fundamental(m, lam, steps=DEFAULT_STEPS):
     """Dense fundamental pair y1 (1,0) and y2 (0,1) over one period [0, 1].
 
@@ -259,7 +233,7 @@ def solve_fundamental(m, lam, steps=DEFAULT_STEPS):
         states.append(np.vstack((psi, dpsi)))
         return psi[:, -1].copy(), dpsi[:, -1].copy()
 
-    _march(m.atoms, lam, np.array([1.0, 0.0]), np.array([0.0, 1.0]), 0.0, 1.0, advance)
+    _march(m.atoms, lam, np.array([1.0, 0.0]), np.array([0.0, 1.0]), 1.0, advance)
     sizes = np.cumsum([0] + [g.size for g in grids])
     segments = tuple((int(i), int(j) - 1) for i, j in zip(sizes, sizes[1:]))
     xs = np.concatenate(grids)
@@ -276,18 +250,9 @@ def fundamental_matrix(m, lam, x=1.0, steps=DEFAULT_STEPS):
     if x == 0.0:
         return FundamentalMatrix(x=0.0, lam=lam, y1=1.0, y2=0.0, dy1=0.0, dy2=1.0)
     # columns y1, y2 ride as the real and imaginary parts of one scalar lane
-    psi, dpsi = _march(m.atoms, lam, 1.0 + 0.0j, 1.0j, 0.0, x, _one_lambda(m, lam, steps))
+    psi, dpsi = _march(m.atoms, lam, 1.0 + 0.0j, 1.0j, x, _one_lambda(m, lam, steps))
     return FundamentalMatrix(x=x, lam=lam, y1=float(psi.real), y2=float(psi.imag),
                              dy1=float(dpsi.real), dy2=float(dpsi.imag))
-
-
-def wronskian(state_a, state_b):
-    """psi_a psi_b' - psi_a' psi_b at matching position and spectral point."""
-    if state_a.x != state_b.x:
-        raise ValueError(f"states at different positions: {state_a.x} vs {state_b.x}")
-    if state_a.lam != state_b.lam:
-        raise ValueError(f"states at different spectral points: {state_a.lam} vs {state_b.lam}")
-    return state_a.psi * state_b.dpsi - state_a.dpsi * state_b.psi
 
 
 def trajectory_wronskian(ta, tb):
@@ -310,7 +275,7 @@ def positive_part_vanishes(m, steps=DEFAULT_STEPS):
         peaks.append(np.max(m.smooth_value(a + 0.5 * h * np.arange(2 * n + 1))))
         return psi, dpsi
 
-    _march(m.atoms, 0.0, 0.0, 0.0, 0.0, 1.0, record)
+    _march(m.atoms, 0.0, 0.0, 0.0, 1.0, record)
     return max(peaks) <= 0.0
 
 
@@ -333,7 +298,7 @@ def zero_count(m, lam, steps=DEFAULT_STEPS):
         rows.append(psi)
         return psi[-1:], dpsi[-1:]
 
-    _march(m.atoms, lam, np.zeros(1), np.ones(1), 0.0, 1.0, advance)
+    _march(m.atoms, lam, np.zeros(1), np.ones(1), 1.0, advance)
     negative = np.signbit(np.concatenate(rows))
     return int(np.count_nonzero(negative[1:] != negative[:-1]))
 
@@ -371,6 +336,6 @@ def endpoint_column(m, lams, column=(0.0, 1.0), steps=DEFAULT_STEPS, x1=1.0):
             dpsi += dinc
         return psi, dpsi
 
-    return _march(m.atoms, lams, psi, dpsi, 0.0, x1,
+    return _march(m.atoms, lams, psi, dpsi, x1,
                   _exact_advance if m.smooth_is_zero else advance)
 

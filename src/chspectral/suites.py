@@ -4,13 +4,21 @@ Each suite checks one analytic identity over a set of coefficients and
 returns a VerificationReport.  Corpus mode (strict=False) quietly skips
 members the identity does not apply to; strict mode, used when the caller
 supplies a single coefficient, turns inapplicability into failure so a CI
-run cannot pass vacuously.  run_suite computes each member's auxiliary
-points once and passes them to every suite that reads them as `points`, a
-list aligned with the members (None where no suite reads one); a suite
-called without points computes its own.
+run cannot pass vacuously.
+
+Suites reach a member's auxiliary points only through `points`, a list
+aligned with the members: entry k is a call that returns member k's first
+`count` points as _Point records, finding them on the first call.  A record
+builds its point's second Floquet solutions, and from them its gradient
+bundle, once each, on first read, at the point's own step count.  run_suite
+makes one such list and hands it to every suite it runs, so the suites share
+every spectrum, dense pair and bundle, and nothing a run does not read is
+built; a suite called without points makes its own list.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -33,22 +41,43 @@ def _members(members):
     return default_corpus() if members is None else list(members)
 
 
-def _smooth(member):
-    return not member.m.has_atoms
+class _Point:
+    """One auxiliary point and the solutions the suites read from it."""
+
+    def __init__(self, m, point):
+        self.m, self.point = m, point
+
+    @functools.cached_property
+    def floquet(self):
+        """second_floquet's (y1, y2, y, b); None at a nontrivial Jordan block,
+        which second_floquet rejects before integrating."""
+        try:
+            return second_floquet(self.m, self.point)
+        except JordanGapError:
+            return None
+
+    @functools.cached_property
+    def pair(self):
+        """(y1, y2), integrated on its own only at a Jordan block."""
+        if self.floquet is None:
+            return solve_fundamental(self.m, self.point.mu, self.point.steps)
+        return self.floquet[:2]
+
+    @functools.cached_property
+    def bundle(self):
+        """The gradient bundle built from floquet (read only off Jordan blocks)."""
+        return gradient_bundle(self.m, self.point, self.floquet)
 
 
-def _every(member):
-    return True
+def _records(m, count, steps):
+    return [_Point(m, p) for p in auxiliary_spectrum(m, count=count, steps=steps)]
 
 
-def _with_points(members, points, count, steps, reads):
-    """(member, auxiliary points) pairs: the caller's points, else computed
-    here for each member that reads(member) selects (None for the rest)."""
-    members = _members(members)
-    if points is None:
-        points = [auxiliary_spectrum(mb.m, count=count, steps=steps) if reads(mb) else None
-                  for mb in members]
-    return list(zip(members, points))
+def _spectra(members, count, steps):
+    """Per member, a call returning its first count auxiliary points as _Point
+    records: the first call finds them, later calls return the same list."""
+    return [functools.cache(functools.partial(_records, mb.m, count, steps))
+            for mb in members]
 
 
 def _skip(report, strict, note):
@@ -71,28 +100,23 @@ def _clear_sites(m, n):
     return np.nonzero(keep)[0]
 
 
-def _lemma_trajectories(m, pt, steps):
-    try:
-        t1, t2, y, _ = second_floquet(m, pt, steps=steps)
-    except JordanGapError:
-        # rejected before integrating; y1 and y2 still pair with each other
-        return list(zip(("y1", "y2"), solve_fundamental(m, pt.mu, steps=steps)))
-    # a degenerate point has a scalar period map: y is y1 itself, nothing new to pair
-    return [("y1", t1), ("y2", t2)] + ([] if pt.degenerate else [("y", y)])
-
-
 def suite_lemma(members=None, count=3, steps=DEFAULT_STEPS, tol=1e-7, strict=False,
                 points=None):
     report = VerificationReport(
         identity="lambda*J(phi*psi) = K(phi*psi) for solution products",
         n=steps, tolerance=tol)
-    for member, pts in _with_points(members, points, count, steps, _smooth):
+    members = _members(members)
+    for member, spectrum in zip(members, points or _spectra(members, count, steps)):
         if member.m.has_atoms:
             _skip(report, strict,
                   f"{member.name}: delta atoms put solution products outside the brackets")
             continue
-        for pt in pts:
-            trajs = _lemma_trajectories(member.m, pt, steps)
+        for rec in spectrum():
+            trajs = list(zip(("y1", "y2"), rec.pair))
+            # a degenerate point has a scalar period map or a Jordan block:
+            # no y that is new to pair
+            if not rec.point.degenerate:
+                trajs.append(("y", rec.floquet[2]))
             for i in range(len(trajs)):
                 for j in range(i, len(trajs)):
                     field = ProductField.from_trajectories(
@@ -100,7 +124,7 @@ def suite_lemma(members=None, count=3, steps=DEFAULT_STEPS, tol=1e-7, strict=Fal
                     res, kmax = lemma_residual(member.m, field)
                     ok = res <= tol * max(kmax, 1.0)
                     report.add_case([res, kmax], ok,
-                                    f"{member.name}: mu_{pt.index} "
+                                    f"{member.name}: mu_{rec.point.index} "
                                     f"{trajs[i][0]}*{trajs[j][0]}")
     return report
 
@@ -112,15 +136,16 @@ def suite_gradients(members=None, n=256, eps=1e-5, count=3,
         n=n, tolerance=tol)
     if steps % n:
         raise ValueError("steps must be a multiple of n for site-aligned hats")
-    for member, pts in _with_points(members, points, count, steps, _every):
-        pt = next((p for p in pts if not p.degenerate), None)
-        if pt is None:
+    members = _members(members)
+    for member, spectrum in zip(members, points or _spectra(members, count, steps)):
+        rec = next((r for r in spectrum() if not r.point.degenerate), None)
+        if rec is None:
             _skip(report, strict, f"{member.name}: no non-degenerate points")
             continue
         sites = _clear_sites(member.m, n)
-        chk = verify_gradients(member.m, pt, n=n, eps=eps, steps=steps, sites=sites)
+        chk = verify_gradients(member.m, rec.bundle, n=n, eps=eps, sites=sites)
         row = [chk.rel_mu, chk.rel_log_rho, chk.rel_f, chk.rel_g]
-        report.add_case(row, max(row) <= tol, f"{member.name}: mu_{pt.index}")
+        report.add_case(row, max(row) <= tol, f"{member.name}: mu_{rec.point.index}")
         report.tables[f"gradients_{member.name}"] = (
             "x,d_mu,d_logrho,d_f,d_g", gradient_table(chk.bundle, n))
     return report
@@ -140,16 +165,16 @@ def _scaled_block_deviations(mat, mus):
 
 def _theorem_suite(identity, which, members, count, steps, tol, strict, points):
     report = VerificationReport(identity=identity, n=steps, tolerance=tol)
-    for member, pts in _with_points(members, points, count, steps, _smooth):
+    members = _members(members)
+    for member, spectrum in zip(members, points or _spectra(members, count, steps)):
         if member.m.has_atoms:
             _skip(report, strict, f"{member.name}: brackets need a smooth coefficient")
             continue
-        try:
-            bundles = [gradient_bundle(member.m, p, steps=steps) for p in pts]
-        except JordanGapError:
+        if any(rec.floquet is None for rec in spectrum()):
             _skip(report, strict,
                   f"{member.name}: Jordan degeneracy admits no second Floquet solution")
             continue
+        bundles = [rec.bundle for rec in spectrum()]
         mus = [b.point.mu for b in bundles]
         mat = conjugacy_matrix(member.m, bundles=bundles, which=which)
         row = _scaled_block_deviations(mat, mus)
@@ -198,13 +223,13 @@ def suite_hamiltonian(members=None, n=256, tol=1e-6, strict=False):
     return report
 
 
-# name -> (suite, the run_suite settings it takes, members whose points it reads)
+# name -> (suite, the run_suite settings it takes)
 _SUITES = {
-    "lemma": (suite_lemma, ("count", "steps", "points"), _smooth),
-    "gradients": (suite_gradients, ("n", "eps", "count", "steps", "points"), _every),
-    "theorem1": (suite_theorem1, ("count", "steps", "points"), _smooth),
-    "theorem2": (suite_theorem2, ("count", "steps", "points"), _smooth),
-    "hamiltonian": (suite_hamiltonian, ("n",), None),
+    "lemma": (suite_lemma, ("count", "steps", "points")),
+    "gradients": (suite_gradients, ("n", "eps", "count", "steps", "points")),
+    "theorem1": (suite_theorem1, ("count", "steps", "points")),
+    "theorem2": (suite_theorem2, ("count", "steps", "points")),
+    "hamiltonian": (suite_hamiltonian, ("n",)),
 }
 SUITE_NAMES = tuple(_SUITES)
 
@@ -213,17 +238,17 @@ def run_suite(name, members=None, strict=False, n=256, eps=1e-5,
               count=3, steps=DEFAULT_STEPS):
     """Run one suite by CLI name, or every suite in order for 'all'.
 
-    Returns [(name, report), ...].  A member's auxiliary points are computed
-    once, only if a selected suite reads them, and shared by those suites.
+    Returns [(name, report), ...].  The suites share one list of lazy
+    per-member spectra: a member's auxiliary points, and each point's
+    solutions and gradient bundle, are built once, when a suite first reads
+    them.
     """
     if name != "all" and name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}")
     names = SUITE_NAMES if name == "all" else (name,)
     members = _members(members)
-    readers = [_SUITES[s][2] for s in names if _SUITES[s][2] is not None]
-    points = [pts for _, pts in _with_points(
-        members, None, count, steps, lambda mb: any(reads(mb) for reads in readers))]
-    settings = {"n": n, "eps": eps, "count": count, "steps": steps, "points": points}
+    settings = {"n": n, "eps": eps, "count": count, "steps": steps,
+                "points": _spectra(members, count, steps)}
     return [(s, _SUITES[s][0](members, strict=strict,
                               **{k: settings[k] for k in _SUITES[s][1]}))
             for s in names]

@@ -8,11 +8,16 @@ solution y (normalised y(0) = 1, wronskian y2 y' - y2' y = -1):
 
 The canonically conjugate partners are f = -log|rho| / mu^2 under the first
 bracket and g = -log|rho| / mu^3 under the second; their gradients follow by
-the chain rule.  Everything is checked here against centered finite
-differences of hat-bump perturbations of the smooth part.  A hat changes
-only the steps under it: over a run [a, b) of them the bumped monodromy is
-U(1) U(b)^-1 H U(a), from the base dense pairs U and the run H alone.  The
-hat at x = 0 wraps, so it has a run from 0 and one to 1, a factor each.
+the chain rule.  A gradient bundle is built from second_floquet's solutions
+at the point and integrates nothing itself, so it lives on the grid and step
+count the point was polished at.
+
+The finite-difference check takes a bundle and compares its fields with
+centered differences of hat-bump perturbations of the smooth part, at the
+bundle point's step count.  A hat changes only the steps under it: over a
+run [a, b) of them the bumped monodromy is U(1) U(b)^-1 H U(a), from the
+base dense pairs U and the run H alone.  The hat at x = 0 wraps, so it has a
+run from 0 and one to 1, a factor each.
 """
 
 from __future__ import annotations
@@ -24,7 +29,6 @@ import numpy as np
 from numpy.polynomial import chebyshev
 
 from .brackets import ProductField
-from .floquet import second_floquet
 from .quadrature import grid_integral, trajectory_integral
 from .shooting import _apply, _step_entries, solve_fundamental
 
@@ -52,13 +56,13 @@ def norming_constant(m, t2):
     return 1.0 / denom
 
 
-def positivity_residual(m, point, steps=None):
+def positivity_residual(m, point):
     """Relative residual of mu integral(m y2^2) = integral((y2/2)^2 + y2'^2).
 
     Both sides are strictly positive for admissible coefficients, which pins
     the sign of A and hence of the mu gradient.
     """
-    _, t2 = solve_fundamental(m, point.mu, steps=steps or point.steps)
+    _, t2 = solve_fundamental(m, point.mu, steps=point.steps)
     lhs = point.mu * weighted_integral(m, t2, t2)
     rhs = trajectory_integral(t2, (0.5 * t2.psi) ** 2 + t2.dpsi ** 2)
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs))
@@ -83,24 +87,15 @@ class SpectralGradient:
     grad_g: ProductField
 
 
-def mu_gradient(m, point, steps=None):
-    """Gradient field of mu alone; defined even where the multiplier's is not."""
-    steps = steps or point.steps
-    _, t2 = solve_fundamental(m, point.mu, steps=steps)
-    a = norming_constant(m, t2)
-    pf = ProductField.from_trajectories(m, t2, t2)
-    return pf.scaled(-a * point.mu)
+def gradient_bundle(m, point, solutions):
+    """All gradient data at one auxiliary point, from solutions =
+    second_floquet(m, point).
 
-
-def gradient_bundle(m, point, steps=None):
-    """All gradient data at one auxiliary point.
-
-    Raises JordanGapError at a band edge whose monodromy is a nontrivial
-    Jordan block; at a plus-or-minus-identity monodromy the multiplier is
-    still differentiable and log|rho| is taken as exactly zero.
+    second_floquet raises JordanGapError at a band edge whose monodromy is a
+    nontrivial Jordan block; at a plus-or-minus-identity monodromy the
+    multiplier is still differentiable and log|rho| is taken as exactly zero.
     """
-    steps = steps or point.steps
-    _, t2, y, b = second_floquet(m, point, steps=steps)
+    _, t2, y, b = solutions
     a = norming_constant(m, t2)
     bb = weighted_integral(m, t2, y)
     mu = point.mu
@@ -233,8 +228,9 @@ def _cheb_roots(coef):
     return np.where(np.isfinite(dist.min(axis=1)), t.real[np.arange(t.shape[0]), best], np.nan)
 
 
-def verify_gradients(m, point, n=256, eps=1e-5, steps=None, sites=None):
-    """Compare each gradient against centered differences over hat bumps.
+def verify_gradients(m, bundle, n=256, eps=1e-5, sites=None):
+    """Compare the bundle's gradients against centered differences over hat
+    bumps, integrated at the bundle point's step count.
 
     For every requested grid site, the smooth part is perturbed by
     +-eps * hat (the hat has unit mass and width 2/n) and mu, log|rho|, f, g
@@ -246,10 +242,10 @@ def verify_gradients(m, point, n=256, eps=1e-5, steps=None, sites=None):
     eps max|grad mu| <= d/50; a lost root raises RuntimeError naming mu and
     the site.
     """
-    steps = steps or point.steps
+    point = bundle.point
+    steps = point.steps
     if steps % n:
         raise ValueError(f"steps={steps} must be a multiple of the site grid n={n}")
-    bundle = gradient_bundle(m, point, steps=steps)
     sites = np.arange(n) if sites is None else np.asarray(sites, dtype=int)
     nsite = sites.size
     xq = np.mod(sites, n) / n     # site -1 is site n - 1, as for the hat

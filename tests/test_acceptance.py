@@ -119,7 +119,7 @@ def test_08_second_bracket_conjugacy():
 
 def _conjugacy_deviation(m, points, steps, which):
     pts = [refine_point(m, p, steps) for p in points]
-    bundles = [gradient_bundle(m, p, steps=steps) for p in pts]
+    bundles = [gradient_bundle(m, p, second_floquet(m, p)) for p in pts]
     mus = [p.mu for p in pts]
     mat = conjugacy_matrix(m, bundles=bundles, which=which)
     dev = np.abs(mat - conjugacy_target(len(mus)))
@@ -134,7 +134,7 @@ def _lemma_deviation(m, points, steps):
     worst = 0.0
     for p in points:
         pt = refine_point(m, p, steps)
-        t1, t2, y, _ = second_floquet(m, pt, steps=steps)
+        t1, t2, y, _ = second_floquet(m, pt)
         for ta in (t1, t2, y):
             for tb in (t1, t2, y):
                 res, scale = lemma_residual(m, ProductField.from_trajectories(m, ta, tb))

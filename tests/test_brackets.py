@@ -19,7 +19,7 @@ from chspectral.brackets import (
     log_multiplier_matrix,
 )
 from chspectral.coefficient import make_coefficient
-from chspectral.floquet import auxiliary_spectrum
+from chspectral.floquet import auxiliary_spectrum, second_floquet
 from chspectral.shooting import solve_fundamental
 from chspectral.variations import gradient_bundle
 
@@ -32,6 +32,10 @@ def two_mode():
     return make_coefficient({"smooth": {"kind": "fourier", "a0": 1.0,
                                         "cos": [0.25], "sin": [0.0, 0.1]},
                              "atoms": []})
+
+
+def bundles_at(m, pts):
+    return [gradient_bundle(m, p, second_floquet(m, p)) for p in pts]
 
 
 def test_product_field_closed_derivatives():
@@ -107,7 +111,7 @@ def test_atoms_rejected():
 def test_bracket1_antisymmetric():
     m = two_mode()
     pts = auxiliary_spectrum(m, count=2)
-    ba, bb = (gradient_bundle(m, p) for p in pts)
+    ba, bb = bundles_at(m, pts)
     lhs = bracket1(m, ba.grad_mu, bb.grad_log_rho)
     rhs = bracket1(m, bb.grad_log_rho, ba.grad_mu)
     assert lhs == pytest.approx(-rhs, rel=1e-14, abs=1e-14)
@@ -116,7 +120,7 @@ def test_bracket1_antisymmetric():
 def test_bracket2_antisymmetric_up_to_quadrature():
     m = two_mode()
     pts = auxiliary_spectrum(m, count=2)
-    ba, bb = (gradient_bundle(m, p) for p in pts)
+    ba, bb = bundles_at(m, pts)
     lhs = bracket2(ba.grad_mu, bb.grad_log_rho)
     rhs = bracket2(bb.grad_log_rho, ba.grad_mu)
     scale = max(1.0, abs(lhs), abs(rhs))
@@ -129,7 +133,7 @@ def test_bracket2_is_spectral_multiple_of_bracket1():
     # quadratures use different integrand forms, so they agree to O(h^4)
     m = two_mode()
     pts = auxiliary_spectrum(m, count=2)
-    ba, bb = (gradient_bundle(m, p) for p in pts)
+    ba, bb = bundles_at(m, pts)
     scale = max(1.0, pts[0].mu ** 2, pts[1].mu ** 2)
     for fa in (ba.grad_mu, ba.grad_log_rho):
         for fb in (bb.grad_mu, bb.grad_log_rho):
@@ -142,7 +146,7 @@ def test_log_multiplier_matrix_constant_coefficient():
     # analytic value: {mu_i, log|rho_j|} = -mu_i^2 delta_ij
     m = const_m(1.0)
     pts = auxiliary_spectrum(m, count=2)
-    bundles = [gradient_bundle(m, p) for p in pts]
+    bundles = bundles_at(m, pts)
     mat = log_multiplier_matrix(m, bundles)
     want = np.diag([-p.mu ** 2 for p in pts])
     for i in range(2):
@@ -155,7 +159,7 @@ def test_conjugacy_matrix_constant_coefficient():
     # the canonical relations hold in closed form for m = 1
     m = const_m(1.0)
     pts = auxiliary_spectrum(m, count=2)
-    bundles = [gradient_bundle(m, p) for p in pts]
+    bundles = bundles_at(m, pts)
     mat = conjugacy_matrix(m, bundles=bundles, which="first")
     want = conjugacy_target(2)
     mus = [p.mu for p in pts] * 2
@@ -168,7 +172,7 @@ def test_conjugacy_matrix_constant_coefficient():
 def test_conjugacy_matrix_second_bracket():
     m = const_m(1.0)
     pts = auxiliary_spectrum(m, count=2)
-    bundles = [gradient_bundle(m, p) for p in pts]
+    bundles = bundles_at(m, pts)
     mat = conjugacy_matrix(m, bundles=bundles, which="second")
     want = conjugacy_target(2)
     mus = [p.mu for p in pts] * 2

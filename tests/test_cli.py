@@ -9,6 +9,7 @@ import pytest
 import chspectral
 from chspectral import suites
 from chspectral.cli import entry
+from chspectral.corpus import corpus_specs
 
 
 def write_config(tmp_path, spec, name="m.json"):
@@ -92,6 +93,38 @@ def test_spectrum_const_matches_closed_form(tmp_path):
     for k, r in enumerate(aux, start=1):
         assert float(r[2]) == pytest.approx(0.25 + (k * math.pi) ** 2, rel=1e-9)
         assert r[4] == "true"
+
+
+def spectrum_rows(tmp_path, cfg, *window):
+    out = tmp_path / "_".join(("spectrum",) + window)
+    assert entry(["spectrum", "--config", cfg, *window, "--out", str(out)]) == 0
+    return [line.split(",") for line in
+            (out / "spectrum.csv").read_text().splitlines()[1:]]
+
+
+def test_spectrum_negative_window_lists_points_below_zero(tmp_path):
+    # m = -1: psi'' = (1/4 + lambda) psi, so the auxiliary points are
+    # -(1/4 + (k pi)^2), each on a closed gap: a double edge
+    cfg = write_config(tmp_path, {"smooth": {"kind": "const", "value": -1.0}})
+    rows = spectrum_rows(tmp_path, cfg, "--lambda-min=-300", "--lambda-max=300")
+    aux = [r for r in rows if r[0] == "aux"]
+    assert [int(r[1]) for r in aux] == [-5, -4, -3, -2, -1]
+    for k, r in zip(range(5, 0, -1), aux):
+        assert float(r[2]) == pytest.approx(-(0.25 + (k * math.pi) ** 2), rel=1e-9)
+        assert r[4] == "true"
+    double = [r[2] for r in rows if r[0] != "aux" and r[4] == "true"]
+    assert double == [r[2] for r in aux]
+
+
+def test_spectrum_lambda_min_zero_gives_the_default_rows(tmp_path):
+    # the brackets then start at 0, not at 1e-6: values move by rounding only
+    cfg = write_config(tmp_path, corpus_specs()["two_mode"])
+    rows = spectrum_rows(tmp_path, cfg, "--lambda-min=0")
+    default = spectrum_rows(tmp_path, cfg)
+    assert [(r[0], r[1], r[4]) for r in rows] == [(r[0], r[1], r[4]) for r in default]
+    for r, d in zip(rows, default):
+        assert [float(r[2]), float(r[3])] == pytest.approx([float(d[2]), float(d[3])],
+                                                           rel=1e-13)
 
 
 def test_verify_writes_report_and_field_csvs(tmp_path):

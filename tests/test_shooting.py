@@ -8,13 +8,10 @@ import pytest
 from chspectral.coefficient import make_coefficient
 from chspectral.shooting import (
     BlowUpError,
-    ShootingState,
     endpoint_column,
     fundamental_matrix,
-    propagate,
     solve_fundamental,
     trajectory_wronskian,
-    wronskian,
     zero_count,
 )
 
@@ -110,17 +107,6 @@ def test_atom_at_origin_applies_once():
     np.testing.assert_allclose(got, want, atol=1e-14)
 
 
-def test_propagate_linearity():
-    m = make_coefficient({"smooth": {"kind": "fourier", "a0": 1.0, "cos": [0.3]},
-                          "atoms": []})
-    lam = 7.0
-    a = propagate(m, lam, ShootingState(0.0, 1.0, 0.0, lam), 1.0)
-    b = propagate(m, lam, ShootingState(0.0, 0.0, 1.0, lam), 1.0)
-    c = propagate(m, lam, ShootingState(0.0, 2.0, -3.0, lam), 1.0)
-    assert c.psi == pytest.approx(2 * a.psi - 3 * b.psi, rel=1e-12)
-    assert c.dpsi == pytest.approx(2 * a.dpsi - 3 * b.dpsi, rel=1e-12)
-
-
 def test_rk4_fourth_order_convergence():
     # halving h divides the endpoint error by about 16
     lam = 30.0
@@ -132,16 +118,6 @@ def test_rk4_fourth_order_convergence():
         errs.append(abs(U.y2 - exact))
     ratio = errs[0] / errs[1]
     assert 13.0 < ratio < 19.0
-
-
-def test_wronskian_helpers():
-    sa = ShootingState(0.5, 1.0, 2.0, 3.0)
-    sb = ShootingState(0.5, 4.0, 5.0, 3.0)
-    assert wronskian(sa, sb) == pytest.approx(1.0 * 5.0 - 2.0 * 4.0)
-    with pytest.raises(ValueError):
-        wronskian(sa, ShootingState(0.6, 4.0, 5.0, 3.0))
-    with pytest.raises(ValueError):
-        wronskian(sa, ShootingState(0.5, 4.0, 5.0, 2.0))
 
 
 def test_trajectory_matches_closed_form():
@@ -209,8 +185,6 @@ def test_endpoint_column_matches_scalar():
 def test_blowup_guard():
     with pytest.raises(BlowUpError):
         fundamental_matrix(const_m(1.0), lam=-1e8, steps=256)
-    with pytest.raises(BlowUpError):
-        propagate(const_m(1.0), 1.0, ShootingState(0.0, math.nan, 1.0, 1.0), 1.0, steps=256)
 
 
 def test_zero_count_matches_the_dense_trajectory():
@@ -294,10 +268,6 @@ def test_single_lambda_kernels_match_stage_rk4(reference):
         U = fundamental_matrix(m, lam, steps=REFERENCE_STEPS)
         assert_matches([U.y1, U.y2], [y1, y2])
         assert_matches([U.dy1, U.dy2], [dy1, dy2])
-        for column, want in (((1.0, 0.0), (y1, dy1)), ((0.0, 1.0), (y2, dy2))):
-            end = propagate(m, lam, ShootingState(0.0, *column, lam), 1.0, REFERENCE_STEPS)
-            assert_matches([end.psi], [want[0]])
-            assert_matches([end.dpsi], [want[1]])
 
 
 def test_dense_pair_matches_stage_rk4(reference):

@@ -1,6 +1,6 @@
 import pytest
 
-from chspectral import floquet, suites
+from chspectral import floquet, suites, variations
 from chspectral.coefficient import make_coefficient
 from chspectral.corpus import CorpusMember, corpus_specs, default_corpus
 from chspectral.suites import (
@@ -124,11 +124,32 @@ def test_lemma_integrates_one_dense_pair_per_point(monkeypatch):
     # one point each: a scalar period map (const), a Jordan block that
     # second_floquet refuses before integrating (cosine), a regular point (two_mode)
     mems = [member("const"), member("cosine"), member("two_mode")]
-    pts = [floquet.auxiliary_spectrum(mb.m, count=1, steps=1024) for mb in mems]
+    pts = suites._spectra(mems, count=1, steps=1024)
+    mus = [spectrum()[0].point.mu for spectrum in pts]
     calls = count_calls(monkeypatch, [floquet, suites], "solve_fundamental")
     report = suite_lemma(mems, count=1, steps=1024, points=pts)
     assert report.passed and len(report.residuals) == 3 + 3 + 6
-    assert [args[1] for args in calls] == [p[0].mu for p in pts]
+    assert [args[1] for args in calls] == mus
+
+
+def test_run_suite_builds_each_point_once(monkeypatch):
+    # the corpus holds 10 distinct points: 3 per smooth member and the offset
+    # peakon's, the one the gradients suite reads from a member with atoms; 8
+    # of them are not Jordan blocks and so have a gradient bundle
+    mods = [floquet, suites, variations]
+    floquets = count_calls(monkeypatch, mods[:2], "second_floquet")
+    bundles = count_calls(monkeypatch, mods[1:], "gradient_bundle")
+    pairs = count_calls(monkeypatch, mods, "solve_fundamental")
+    run_suite("all")
+    for calls, most in ((floquets, 10), (bundles, 8)):
+        mus = [args[1].mu for args in calls]
+        assert len(set(mus)) == len(mus) <= most
+    # one dense pair per point, and 8 Chebyshev nodes per gradient check
+    # (two_mode and peakon_offset)
+    assert len(pairs) == 10 + 2 * 8
+    bundles.clear()
+    run_suite("lemma")
+    assert bundles == []
 
 
 def test_report_schema_keys():

@@ -7,11 +7,10 @@ import pytest
 
 from chspectral import variations
 from chspectral.coefficient import BumpedSmooth, PeriodicCoefficient, make_coefficient
-from chspectral.floquet import JordanGapError, auxiliary_spectrum
+from chspectral.floquet import auxiliary_spectrum, second_floquet
 from chspectral.shooting import fundamental_matrix, solve_fundamental, trajectory_wronskian
 from chspectral.variations import (
     gradient_bundle,
-    mu_gradient,
     norming_constant,
     positivity_residual,
     verify_gradients,
@@ -37,6 +36,10 @@ def two_mode():
 def cosine():
     return make_coefficient({"smooth": {"kind": "fourier", "a0": 1.0, "cos": [0.3]},
                              "atoms": []})
+
+
+def bundle_at(m, pt):
+    return gradient_bundle(m, pt, second_floquet(m, pt))
 
 
 def test_norming_constant_constant_coefficient():
@@ -71,7 +74,7 @@ def test_gradient_fields_constant_coefficient():
     #   dlog|rho|/dm = -mu sin(n pi x) cos(n pi x) / (n pi)
     m = const_m(1.0)
     pt = auxiliary_spectrum(m, count=1)[0]
-    bundle = gradient_bundle(m, pt)
+    bundle = bundle_at(m, pt)
     xs = bundle.grad_mu.xs
     mu = pt.mu
     want_mu = -2.0 * mu * np.sin(math.pi * xs) ** 2
@@ -86,7 +89,7 @@ def test_gradient_fields_constant_coefficient():
 def test_gradient_bundle_wronskian_and_start():
     m = two_mode()
     pt = auxiliary_spectrum(m, count=1)[0]
-    bundle = gradient_bundle(m, pt)
+    bundle = bundle_at(m, pt)
     w = trajectory_wronskian(bundle.t2, bundle.y)
     np.testing.assert_allclose(w, -1.0, atol=1e-8 * max(1.0, abs(bundle.b)))
     assert bundle.y.psi[0] == 1.0
@@ -96,7 +99,7 @@ def test_gradient_invariant_under_companion_shift():
     # adding c y2 to the companion shifts B but leaves the field unchanged
     m = two_mode()
     pt = auxiliary_spectrum(m, count=1)[0]
-    bundle = gradient_bundle(m, pt)
+    bundle = bundle_at(m, pt)
     from chspectral.brackets import ProductField
 
     c = 37.0
@@ -113,7 +116,7 @@ def test_gradient_invariant_under_companion_shift():
 def test_chain_rule_fields():
     m = two_mode()
     pt = auxiliary_spectrum(m, count=1)[0]
-    bundle = gradient_bundle(m, pt)
+    bundle = bundle_at(m, pt)
     mu = pt.mu
     want_f = (-bundle.grad_log_rho.values / mu ** 2
               + 2.0 * bundle.log_rho / mu ** 3 * bundle.grad_mu.values)
@@ -123,18 +126,6 @@ def test_chain_rule_fields():
     np.testing.assert_allclose(bundle.grad_g.values, want_g, atol=1e-15)
     assert bundle.f == pytest.approx(-bundle.log_rho / mu ** 2)
     assert bundle.g == pytest.approx(-bundle.log_rho / mu ** 3)
-
-
-def test_mu_gradient_defined_at_jordan_point():
-    m = peakon(1.0, 0.5)
-    pt = auxiliary_spectrum(m, lam_max=20.0)[0]
-    with pytest.raises(JordanGapError):
-        gradient_bundle(m, pt)
-    field = mu_gradient(m, pt)
-    # -A mu y2^2 with A = 1/(4 sinh^2(1/4)), evaluated at the atom site
-    a = 1.0 / (4.0 * math.sinh(0.25) ** 2)
-    want_peak = -a * pt.mu * (2.0 * math.sinh(0.25)) ** 2
-    assert field.value_at(0.5) == pytest.approx(want_peak, rel=1e-10)
 
 
 def test_positivity_residual_small_everywhere():
@@ -155,7 +146,7 @@ def test_positivity_residual_small_everywhere():
 def test_verify_gradients_constant_coefficient():
     m = const_m(1.0)
     pt = auxiliary_spectrum(m, count=1, steps=1024)[0]
-    chk = verify_gradients(m, pt, n=64, eps=1e-5, steps=1024)
+    chk = verify_gradients(m, bundle_at(m, pt), n=64, eps=1e-5)
     assert chk.rel_mu < 5e-4
     assert chk.rel_log_rho < 2.5e-3
     assert chk.rel_f < 2.5e-3
@@ -165,7 +156,7 @@ def test_verify_gradients_constant_coefficient():
 def test_verify_gradients_two_mode():
     m = two_mode()
     pt = auxiliary_spectrum(m, count=1, steps=2048)[0]
-    chk = verify_gradients(m, pt, n=64, eps=1e-5, steps=2048)
+    chk = verify_gradients(m, bundle_at(m, pt), n=64, eps=1e-5)
     assert chk.rel_mu < 5e-4
     assert chk.rel_log_rho < 2.5e-3
     assert chk.rel_f < 2.5e-3
@@ -179,7 +170,7 @@ def test_verify_gradients_atom_coefficient():
     pt = auxiliary_spectrum(m, lam_max=20.0, steps=1024)[0]
     n = 64
     sites = [s for s in range(n) if abs(s / n - 0.3) > 1.5 / n]
-    chk = verify_gradients(m, pt, n=n, eps=1e-5, steps=1024, sites=sites)
+    chk = verify_gradients(m, bundle_at(m, pt), n=n, eps=1e-5, sites=sites)
     assert chk.rel_mu < 2.5e-3
     assert chk.rel_log_rho < 2.5e-3
 
@@ -187,7 +178,7 @@ def test_verify_gradients_atom_coefficient():
 def test_verify_gradients_site_subset():
     m = const_m(1.0)
     pt = auxiliary_spectrum(m, count=1, steps=512)[0]
-    chk = verify_gradients(m, pt, n=64, eps=1e-5, steps=512, sites=[3, 17, 40])
+    chk = verify_gradients(m, bundle_at(m, pt), n=64, eps=1e-5, sites=[3, 17, 40])
     assert chk.sites.tolist() == [3, 17, 40]
     assert chk.fd_mu.shape == (3,)
     assert chk.rel_mu < 5e-4
@@ -197,9 +188,9 @@ def test_verify_gradients_sites_wrap_like_the_hat():
     # sites 64, -1 and 69 on the n = 64 grid are sites 0, 63 and 5, for the
     # analytic fields as for the finite-difference hats
     m = two_mode()
-    pt = auxiliary_spectrum(m, count=1)[0]
-    wrapped = verify_gradients(m, pt, n=64, steps=1024, sites=[64, -1, 69])
-    plain = verify_gradients(m, pt, n=64, steps=1024, sites=[0, 63, 5])
+    bundle = bundle_at(m, auxiliary_spectrum(m, count=1, steps=1024)[0])
+    wrapped = verify_gradients(m, bundle, n=64, sites=[64, -1, 69])
+    plain = verify_gradients(m, bundle, n=64, sites=[0, 63, 5])
     for field in ("mu", "log_rho", "f", "g"):
         np.testing.assert_array_equal(getattr(wrapped, "analytic_" + field),
                                       getattr(plain, "analytic_" + field))
@@ -221,14 +212,14 @@ def test_verify_gradients_lost_root_names_site(monkeypatch):
 
     monkeypatch.setattr(variations, "_cheb_roots", lose_one)
     with pytest.raises(RuntimeError, match=r"mu=.* at site 17 \(-eps\)"):
-        verify_gradients(m, pt, n=64, eps=1e-5, steps=512, sites=[3, 17, 40])
+        verify_gradients(m, bundle_at(m, pt), n=64, eps=1e-5, sites=[3, 17, 40])
 
 
 def test_verify_gradients_grid_mismatch():
     m = const_m(1.0)
     pt = auxiliary_spectrum(m, count=1, steps=512)[0]
     with pytest.raises(ValueError):
-        verify_gradients(m, pt, n=100, eps=1e-5, steps=512)
+        verify_gradients(m, bundle_at(m, pt), n=100, eps=1e-5)
 
 
 BUMPED_MEMBERS = {
