@@ -11,14 +11,9 @@ Poisson structures of the underlying water-wave hierarchy.
 from .coefficient import (
     Atom,
     CoefficientError,
-    GridFunction,
     PeriodicCoefficient,
-    grid_points,
     load_coefficient,
     make_coefficient,
-    momentum_from_velocity,
-    momentum_grid,
-    perturb,
     velocity_from_momentum,
 )
 from .shooting import (
@@ -41,8 +36,6 @@ from .floquet import (
 from .brackets import (
     BracketDomainError,
     ProductField,
-    apply_j,
-    apply_k,
     bracket1,
     bracket2,
     conjugacy_matrix,
@@ -53,21 +46,16 @@ from .brackets import (
 from .variations import (
     gradient_bundle,
     gradient_table,
-    norming_constant,
-    positivity_residual,
     verify_gradients,
 )
 from .hamiltonians import (
     SmoothDomainError,
     bihamiltonian_residual,
-    grad_h2,
-    grad_h3,
     h2,
     h2_energy,
-    h3,
     hamiltonian_fields,
 )
-from .corpus import CorpusMember, corpus_specs, default_corpus
+from .corpus import CorpusMember, default_corpus
 from .report import VerificationReport
 from .suites import (
     run_suite,

@@ -33,15 +33,13 @@ class ProductField:
     segments: tuple
     values: np.ndarray
     d1: np.ndarray
-    d2: np.ndarray
     d3: np.ndarray
 
     @classmethod
     def from_trajectories(cls, m, ta, tb):
         """Field w = psi_a psi_b for two trajectories on one grid.
 
-        With c = 1/4 - lam m_s the closures are
-        w'' = 2 c w + 2 psi_a' psi_b' and w''' = 4 c w' - 2 lam m_s' w.
+        With c = 1/4 - lam m_s the closure is w''' = 4 c w' - 2 lam m_s' w.
         """
         if ta.lam != tb.lam or ta.xs.shape != tb.xs.shape:
             raise ValueError("trajectories live on different grids or spectral points")
@@ -50,27 +48,18 @@ class ProductField:
         w = ta.psi * tb.psi
         d1 = ta.dpsi * tb.psi + ta.psi * tb.dpsi
         c = 0.25 - lam * np.asarray(m.smooth_value(xs), dtype=float)
-        d2 = 2.0 * c * w + 2.0 * ta.dpsi * tb.dpsi
         d3 = 4.0 * c * d1 - 2.0 * lam * np.asarray(m.smooth_derivative(xs), dtype=float) * w
-        return cls(lam=lam, xs=xs, segments=ta.segments, values=w, d1=d1, d2=d2, d3=d3)
+        return cls(lam=lam, xs=xs, segments=ta.segments, values=w, d1=d1, d3=d3)
 
     def scaled(self, a):
-        return replace(self, values=a * self.values, d1=a * self.d1,
-                       d2=a * self.d2, d3=a * self.d3)
+        return replace(self, values=a * self.values, d1=a * self.d1, d3=a * self.d3)
 
     def plus(self, other, coeff=1.0):
         if other.xs.shape != self.xs.shape or other.lam != self.lam:
             raise ValueError("fields live on different grids or spectral points")
         return replace(self, values=self.values + coeff * other.values,
                        d1=self.d1 + coeff * other.d1,
-                       d2=self.d2 + coeff * other.d2,
                        d3=self.d3 + coeff * other.d3)
-
-    def value_at(self, x):
-        idx = np.nonzero(self.xs == x)[0]
-        if idx.size == 0:
-            raise ValueError(f"x={x} is not a stored grid point")
-        return float(self.values[idx[0]])
 
 
 def _reject_atoms(m, what):
@@ -103,26 +92,6 @@ def lemma_residual(m, field):
     k = apply_k(field)
     res = field.lam * apply_j(m, field) - k
     return float(np.max(np.abs(res))), float(np.max(np.abs(k)))
-
-
-def closure_residual(field):
-    """Consistency of the closed derivative grids against finite differences.
-
-    Central differences of values against d1 and of d1 against d2, segment by
-    segment; returns the worst relative deviation.  An O(h^2) check, useful as
-    a property test rather than a precision statement.
-    """
-    worst = 0.0
-    for start, stop in field.segments:
-        xs = field.xs[start: stop + 1]
-        h = (xs[-1] - xs[0]) / (len(xs) - 1)
-        for vals, deriv in ((field.values, field.d1), (field.d1, field.d2)):
-            v = vals[start: stop + 1]
-            d = deriv[start: stop + 1]
-            fd = (v[2:] - v[:-2]) / (2.0 * h)
-            scale = max(1.0, float(np.max(np.abs(d))))
-            worst = max(worst, float(np.max(np.abs(fd - d[1:-1]))) / scale)
-    return worst
 
 
 def bracket1(m, fa, fb):

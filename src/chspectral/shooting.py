@@ -1,28 +1,38 @@
 """Shooting integration of psi'' = psi/4 - lambda m psi across one period.
 
-Smooth stretches use fixed-step classical RK4 in step-matrix form: one step
-over [x, x+h] is a 2x2 matrix built from c = 1/4 - lambda m at x, x+h/2 and
-x+h, with entries quadratic in lambda.  For one lambda a pairwise tree
-multiplies a stretch's step matrices; a batch of lambdas advances its columns
-step by step with the lambdas as vector lanes; a dense trajectory is a prefix
-scan.  Only rounding depends on the association: the scheme is RK4 and
-doubling the step count cuts its error by about 16.  Stretches where the
-smooth part vanishes identically use the exact propagator; delta atoms act
-through the jump psi' -> psi' - lambda p psi(q).  Trajectories cover [0, 1]
-and are stored segment by segment with atom positions duplicated (pre/post
-derivative).  The Floquet property y(x+1) = rho y(x) is a statement about
-U(1) alone, so nothing here integrates past one period.
+Every operation reduces one step table over [0, x1].  A row of the table is
+a step, a 2x2 matrix I + D: the smooth stretches between the atoms come at
+an even RK4 step count each, and every atom is a zero-length step whose D
+carries the jump psi' -> psi' - lambda p psi(q).  Where the smooth part
+vanishes identically a stretch is one exact step (psi'' = psi/4), except in
+the dense pair, which keeps the RK4 grid; so purely atomic coefficients
+bypass the integrator.  An RK4 step over [x, x+h] is built from
+c = 1/4 - lambda m at x, x+h/2 and x+h, with entries quadratic in lambda.
+
+For one lambda a short table is folded row by row in Python floats and a
+long one multiplied as a pairwise tree; a batch of lambdas advances its
+columns row by row with the lambdas as vector lanes; the dense pair and the
+Sturm count are prefix scans.  Only rounding depends on the association: the
+scheme is RK4 and doubling the step count cuts its error by about 16.  The
+dense pair's table starts with a zero-length step at x = 0 (the atom there,
+if any) and the pair stores the state at the end of every row, so x = 0
+appears once and every other atom position twice (pre/post jump).  The
+Floquet property y(x+1) = rho y(x) is a statement about U(1) alone, so
+nothing here integrates past one period.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
 DEFAULT_STEPS = 4096
 BLOWUP_GUARD = 1e300
+# up to this many rows a Python fold beats numpy's fixed cost per call
+_FOLD_ROWS = 128
 
 
 class BlowUpError(RuntimeError):
@@ -78,48 +88,67 @@ class SolutionTrajectory:
         return float(self.psi[idx[0]])
 
 
-def _segment(steps, a, b):
-    # even step count so Simpson applies segment-wise; returns (n, h)
-    n = max(2, int(math.ceil(steps * (b - a))))
-    n += n % 2
-    return n, (b - a) / n
-
-
-def _check_guard(psi, dpsi):
+def _check_guard(*values):
     # nan and inf fail the comparison too
-    if not (np.all(np.abs(psi) <= BLOWUP_GUARD) and np.all(np.abs(dpsi) <= BLOWUP_GUARD)):
+    if not all((np.abs(v) <= BLOWUP_GUARD).all() for v in values):
         raise BlowUpError("trajectory exceeded the overflow guard 1e300")
 
 
-def _march(atoms, lam, psi, dpsi, x1, advance):
-    """Carry Cauchy data from 0 to x1: advance(psi, dpsi, a, b) across each
-    atom-free stretch, psi' -> psi' - lam p psi at each atom in [0, x1) (atoms
-    come sorted by q; arrays change in place).  Overflow ends as inf or nan,
-    which the guard turns into BlowUpError.
+# ---------------------------------------------------------------------------
+# the step table
+
+class _Table(NamedTuple):
+    """Every step over [0, x1].  Row r has length h[r] (0 on an atom; h is
+    one float when the rows are the steps of one stretch) and atom weight p[r]
+    (0 off the atoms); its RK4 nodes are nodes[2r : 2r + 3] and, in the dense
+    pair's table, it ends at xs[r].  A table of one exact step per stretch has
+    no nodes."""
+
+    xs: np.ndarray | None
+    h: np.ndarray | float
+    p: np.ndarray
+    nodes: np.ndarray | None
+    segments: tuple[tuple[int, int], ...]   # inclusive xs ranges of the stretches
+
+
+def _table(m, steps, x1=1.0, dense=False):
+    """The step table of m over [0, x1] at `steps` RK4 steps per unit length
+    (at least two per stretch, and even, so that Simpson's rule applies
+    stretch by stretch); atoms at or above x1 - 1e-14 are left out.
+
+    Row 0, the zero-length step at x = 0, is the atom there; the dense pair's
+    table has it without one too, so that its grid holds x = 0 once.
     """
-    pos = 0.0
-    for atom in atoms:
-        if atom.q >= x1 - 1e-14:
-            break
-        if atom.q > pos:
-            psi, dpsi = advance(psi, dpsi, pos, atom.q)
-            pos = atom.q
-        dpsi -= lam * atom.p * psi
-    if x1 > pos:
-        psi, dpsi = advance(psi, dpsi, pos, x1)
-    _check_guard(psi, dpsi)
-    return psi, dpsi
-
-
-def _exact_advance(psi, dpsi, a, b):
-    """Exact propagator over a zero-coefficient stretch (arrays change in place)."""
-    ch, sh = np.cosh(0.5 * (b - a)), np.sinh(0.5 * (b - a))
-    half = 0.5 * sh * psi
-    psi *= ch
-    psi += 2.0 * sh * dpsi
-    dpsi *= ch
-    dpsi += half
-    return psi, dpsi
+    atoms = [(a.q, a.p) for a in m.atoms if a.q < x1 - 1e-14]
+    head = [atoms.pop(0)] if atoms and atoms[0][0] == 0.0 else [(0.0, 0.0)] if dense else []
+    if m.smooth_is_zero and not dense:
+        # rows [0,] stretch, atom, stretch, ..., atom, stretch
+        h, p, pos = [0.0] * len(head), [w for _, w in head], 0.0
+        for q, w in atoms:
+            h += (q - pos, 0.0)
+            p += (0.0, w)
+            pos = q
+        return _Table(None, np.array(h + [x1 - pos]), np.array(p + [0.0]), None, ())
+    # pieces (rows, h, p, row ends, nodes); row r's first node is row r-1's last
+    pieces = [(1, 0.0, w, [0.0], [0.0, 0.0]) for _, w in head]
+    size, pos, segments = len(head), 0.0, []
+    for q, w in atoms + [(x1, None)]:
+        n = max(2, int(math.ceil(steps * (q - pos))))
+        n += n % 2
+        step = (q - pos) / n
+        grid = pos + (q - pos) * np.arange(1, n + 1) / n if dense else ()
+        pieces.append((n, step, 0.0, grid, pos + 0.5 * step * np.arange(1, 2 * n + 1)))
+        segments.append((size - 1, size - 1 + n))
+        size += n
+        if w is not None:
+            pieces.append((1, 0.0, w, [q], [q, q]))
+            size += 1
+        pos = q
+    rows, h, p, xs, nodes = zip(*pieces)
+    # one stretch and no atom: every row has the same length, kept as one float
+    h = h[0] if len(rows) == 1 else np.repeat(h, rows)
+    return _Table(np.concatenate(xs) if dense else None, h, np.repeat(p, rows),
+                  np.concatenate(([0.0],) + nodes), tuple(segments) if dense else ())
 
 
 # ---------------------------------------------------------------------------
@@ -130,6 +159,7 @@ def _exact_advance(psi, dpsi, a, b):
 #     d11 = s (2 cb + cc) + q cb cc
 # A matrix travels as I + D, D as rows (d00, d01, d10, d11): the identity is
 # never rounded into a step, so n equal steps do not gather n roundings of 1 + d.
+# h = 0 gives the zero step.
 
 def _step_entries(ca, cb, cc, h):
     """Rows of D from c at the three nodes: the steps of one lambda, or lanes."""
@@ -141,10 +171,10 @@ def _step_entries(ca, cb, cc, h):
             s * (2.0 * cb + cc) + q * cb * cc)
 
 
-def _step_polys(msub, h):
+def _step_polys(ms, h):
     """Coefficients (n, 4, 3) of lambda^0, ^1, ^2 in the rows of D for c = 1/4 - lambda m
-    (msub: m at the 2n+1 nodes); a batch sharing m pays one matmul per step."""
-    ma, mb, mc = msub[0:-1:2], msub[1::2], msub[2::2]
+    (ms: m at the 2n+1 nodes); a batch sharing m pays one matmul per step."""
+    ma, mb, mc = ms[0:-1:2], ms[1::2], ms[2::2]
     s = h * h / 6.0
     q = h ** 4 / 24.0
     zero = np.zeros_like(mb)
@@ -158,6 +188,24 @@ def _step_polys(msub, h):
     return np.moveaxis(np.array(polys), -1, 0)
 
 
+def _exact(t):
+    """Rows of D of the exact propagator of psi'' = psi/4 over each row of t."""
+    # cosh(h/2) - 1 = 2 sinh(h/4)^2 keeps its digits on short steps
+    ch1, sh = 2.0 * np.sinh(0.25 * t.h) ** 2, np.sinh(0.5 * t.h)
+    return np.array((ch1, 2.0 * sh, 0.5 * sh, ch1))
+
+
+def _entries(m, t, lam):
+    """Rows of D of every row of t at one lambda, the jump -lambda p in d10."""
+    if m.smooth_is_zero:
+        d = _exact(t)
+    else:
+        c = 0.25 - lam * m.smooth_value(t.nodes)
+        d = np.array(_step_entries(c[0:-1:2], c[1::2], c[2::2], t.h))
+    d[2] -= lam * t.p
+    return d
+
+
 def _compose(a, b):
     """D of (I + a)(I + b), b acting first."""
     return (a[0] + b[0] + (a[0] * b[0] + a[1] * b[2]), a[1] + b[1] + (a[0] * b[1] + a[1] * b[3]),
@@ -169,17 +217,20 @@ def _apply(d, psi, dpsi):
     return psi + (d[0] * psi + d[1] * dpsi), dpsi + (d[2] * psi + d[3] * dpsi)
 
 
-def _step_rows(m, lam, a, h, n):
-    c = 0.25 - lam * m.smooth_value(a + 0.5 * h * np.arange(2 * n + 1))
-    return np.array(_step_entries(c[0:-1:2], c[1::2], c[2::2], h))
-
-
-def _tree_product(e):
-    """e[:, n-1] ... e[:, 0] for rows e of shape (4, n), multiplied pairwise."""
+def _transfer(e):
+    """(y1, y2, y1', y2') of the product of the rows e (4, n), the first acting
+    first: a short table folded row by row in Python floats, a long one
+    multiplied pairwise."""
+    if e.shape[1] <= _FOLD_ROWS:
+        y1, y2, dy1, dy2 = 1.0, 0.0, 0.0, 1.0
+        for d00, d01, d10, d11 in e.T.tolist():
+            y1, dy1 = y1 + (d00 * y1 + d01 * dy1), dy1 + (d10 * y1 + d11 * dy1)
+            y2, dy2 = y2 + (d00 * y2 + d01 * dy2), dy2 + (d10 * y2 + d11 * dy2)
+        return np.array((y1, y2, dy1, dy2))
     while e.shape[1] > 1:
-        k = e.shape[1] // 2
-        e = np.concatenate((_compose(e[:, 1:2 * k:2], e[:, 0:2 * k:2]), e[:, 2 * k:]), axis=1)
-    return e[:, 0]
+        k = e.shape[1] % 2      # an odd row out waits at the front
+        e = np.concatenate((e[:, :k], _compose(e[:, k + 1::2], e[:, k::2])), axis=1)
+    return e[:, 0] + (1.0, 0.0, 0.0, 1.0)
 
 
 def _prefix_products(e):
@@ -191,68 +242,37 @@ def _prefix_products(e):
     return e
 
 
-def _one_lambda(m, lam, steps):
-    """advance() for a single lambda: the tree product of each stretch."""
-    if m.smooth_is_zero:
-        return _exact_advance
-
-    @np.errstate(over="ignore", invalid="ignore")
-    def advance(psi, dpsi, a, b):
-        n, h = _segment(steps, a, b)
-        return _apply(_tree_product(_step_rows(m, lam, a, h, n)), psi, dpsi)
-    return advance
-
-
 # ---------------------------------------------------------------------------
 # public operations
 
+@np.errstate(over="ignore", invalid="ignore")
 def solve_fundamental(m, lam, steps=DEFAULT_STEPS):
     """Dense fundamental pair y1 (1,0) and y2 (0,1) over one period [0, 1].
 
     Returns two SolutionTrajectory objects sharing one grid: a uniform grid per
     segment between atoms, atom positions stored twice (pre/post jump).  The
-    state after every step is the prefix product of the step matrices applied
-    to the state at the segment start.
+    state after every row of the dense step table is the prefix product of
+    the rows applied to the identity.
     """
-    grids, states = [], []
-
-    @np.errstate(over="ignore", invalid="ignore")
-    def advance(psi, dpsi, a, b):
-        n, h = _segment(steps, a, b)
-        grid = a + (b - a) * np.arange(n + 1) / n
-        if m.smooth_is_zero:
-            ch, sh = np.cosh(0.5 * (grid - a)), np.sinh(0.5 * (grid - a))
-            d = (ch - 1.0, 2.0 * sh, 0.5 * sh, ch - 1.0)
-        else:
-            d = np.zeros((4, n + 1))
-            d[:, 1:] = _step_rows(m, lam, a, h, n)
-            d = _prefix_products(d)
-        # rows (y1, y2) of psi and of psi' at every grid point of the stretch
-        psi, dpsi = _apply(d, psi[:, None], dpsi[:, None])
-        grids.append(grid)
-        states.append(np.vstack((psi, dpsi)))
-        return psi[:, -1].copy(), dpsi[:, -1].copy()
-
-    _march(m.atoms, lam, np.array([1.0, 0.0]), np.array([0.0, 1.0]), 1.0, advance)
-    sizes = np.cumsum([0] + [g.size for g in grids])
-    segments = tuple((int(i), int(j) - 1) for i, j in zip(sizes, sizes[1:]))
-    xs = np.concatenate(grids)
-    rows = np.hstack(states)
-    _check_guard(rows[:2], rows[2:])
-    return tuple(SolutionTrajectory(lam=lam, xs=xs, psi=rows[k], dpsi=rows[k + 2],
-                                    segments=segments) for k in (0, 1))
+    t = _table(m, steps, dense=True)
+    d = _prefix_products(_entries(m, t, lam))
+    # rows (y1, y2) of psi and of psi'
+    psi, dpsi = _apply(d, np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]]))
+    _check_guard(psi, dpsi)
+    return tuple(SolutionTrajectory(lam=lam, xs=t.xs, psi=psi[k], dpsi=dpsi[k],
+                                    segments=t.segments) for k in (0, 1))
 
 
 def fundamental_matrix(m, lam, x=1.0, steps=DEFAULT_STEPS):
-    """Transfer matrix U(x, lam) for x in one period [0, 1]: one product per stretch."""
+    """Transfer matrix U(x, lam) for x in one period [0, 1]: the product of the table's rows."""
     if not 0.0 <= x <= 1.0:
         raise ValueError("fundamental matrix is tracked over one period [0, 1] only")
     if x == 0.0:
         return FundamentalMatrix(x=0.0, lam=lam, y1=1.0, y2=0.0, dy1=0.0, dy2=1.0)
-    # columns y1, y2 ride as the real and imaginary parts of one scalar lane
-    psi, dpsi = _march(m.atoms, lam, 1.0 + 0.0j, 1.0j, x, _one_lambda(m, lam, steps))
-    return FundamentalMatrix(x=x, lam=lam, y1=float(psi.real), y2=float(psi.imag),
-                             dy1=float(dpsi.real), dy2=float(dpsi.imag))
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = _transfer(_entries(m, _table(m, steps, x), lam))
+    _check_guard(u)
+    return FundamentalMatrix(x, lam, *u.tolist())
 
 
 def trajectory_wronskian(ta, tb):
@@ -268,38 +288,23 @@ def positive_part_vanishes(m, steps=DEFAULT_STEPS):
     Then c >= 1/4 at every node for lambda > 0, so every step-matrix entry is
     positive and y2(1, lambda) > 0: no auxiliary point lies above lambda = 0.
     """
-    peaks = [atom.p for atom in m.atoms]
-
-    def record(psi, dpsi, a, b):
-        n, h = _segment(steps, a, b)
-        peaks.append(np.max(m.smooth_value(a + 0.5 * h * np.arange(2 * n + 1))))
-        return psi, dpsi
-
-    _march(m.atoms, 0.0, 0.0, 0.0, 1.0, record)
-    return max(peaks) <= 0.0
+    t = _table(m, steps, dense=True)
+    return max(np.max(t.p), np.max(m.smooth_value(t.nodes))) <= 0.0
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def zero_count(m, lam, steps=DEFAULT_STEPS):
     """Sign changes of y2(., lam) over (0, 1]: the Sturm count of auxiliary points.
 
     It is #{0 < mu_i < lam} for lam > 0 and #{lam < mu_i < 0} for lam < 0, for
-    sign-indefinite m too.  An RK4 stretch counts over its step rows; an exact
-    stretch (psi'' = psi/4) holds at most one zero, so only its ends are read.
+    sign-indefinite m too.  The count runs over y2 at the end of every row;
+    an exact stretch (psi'' = psi/4) is one row and holds at most one zero, so
+    only its ends are read.
     """
-    rows = [np.zeros(1)]        # y2 > 0 just right of x = 0
-
-    @np.errstate(over="ignore", invalid="ignore")
-    def advance(psi, dpsi, a, b):
-        if m.smooth_is_zero:
-            psi, dpsi = _exact_advance(psi.copy(), dpsi.copy(), a, b)
-        else:
-            n, h = _segment(steps, a, b)
-            psi, dpsi = _apply(_prefix_products(_step_rows(m, lam, a, h, n)), psi, dpsi)
-        rows.append(psi)
-        return psi[-1:], dpsi[-1:]
-
-    _march(m.atoms, lam, np.zeros(1), np.ones(1), 1.0, advance)
-    negative = np.signbit(np.concatenate(rows))
+    d = _prefix_products(_entries(m, _table(m, steps), lam))
+    psi, dpsi = d[1], 1.0 + d[3]
+    _check_guard(psi, dpsi)
+    negative = np.signbit(np.append(0.0, psi))      # y2 > 0 just right of x = 0
     return int(np.count_nonzero(negative[1:] != negative[:-1]))
 
 
@@ -311,31 +316,31 @@ def endpoint_column(m, lams, column=(0.0, 1.0), steps=DEFAULT_STEPS, x1=1.0):
 
     column is the Cauchy data (psi, psi') at 0 shared by the batch; a (2, k)
     array holds k columns, which advance in one pass and give results with a
-    leading axis of length k.  Each step matrix is evaluated once per step for
-    the whole batch, as its lambda-polynomial coefficients times (1, lam, lam^2).
+    leading axis of length k.  Each row's matrix is evaluated once for the
+    whole batch, as its lambda-polynomial coefficients times (1, lam, lam^2).
     """
     lams = np.asarray(lams, dtype=float)
     psi, dpsi = (np.multiply.outer(c, np.ones(lams.shape)) for c in np.asarray(column, float))
-    shape = (4,) + lams.shape
-
-    def advance(psi, dpsi, a, b):
-        # _apply written out in place: no allocation per step
-        powers = np.stack((np.ones(lams.size), lams.ravel(), lams.ravel() ** 2))
-        n, h = _segment(steps, a, b)
-        polys = _step_polys(m.smooth_value(a + 0.5 * h * np.arange(2 * n + 1)), h)
-        d = np.empty((4, lams.size))
-        d00, d01, d10, d11 = d.reshape(shape)
-        inc, dinc, tmp = np.empty_like(psi), np.empty_like(psi), np.empty_like(psi)
-        for i in range(n):
-            np.matmul(polys[i], powers, out=d)
-            np.multiply(d00, psi, out=inc)
-            inc += np.multiply(d01, dpsi, out=tmp)
-            np.multiply(d10, psi, out=dinc)
-            dinc += np.multiply(d11, dpsi, out=tmp)
-            psi += inc
-            dpsi += dinc
-        return psi, dpsi
-
-    return _march(m.atoms, lams, psi, dpsi, x1,
-                  _exact_advance if m.smooth_is_zero else advance)
-
+    t = _table(m, steps, x1)
+    if m.smooth_is_zero:
+        # exact rows: D is affine in lambda
+        polys = np.zeros((t.h.size, 4, 3))
+        polys[:, :, 0] = _exact(t).T
+    else:
+        polys = _step_polys(m.smooth_value(t.nodes), t.h)
+    polys[:, 2, 1] -= t.p
+    powers = np.stack((np.ones(lams.size), lams.ravel(), lams.ravel() ** 2))
+    # _apply written out in place: no allocation per row
+    d = np.empty((4, lams.size))
+    d00, d01, d10, d11 = d.reshape((4,) + lams.shape)
+    inc, dinc, tmp = np.empty_like(psi), np.empty_like(psi), np.empty_like(psi)
+    for poly in polys:
+        np.matmul(poly, powers, out=d)
+        np.multiply(d00, psi, out=inc)
+        inc += np.multiply(d01, dpsi, out=tmp)
+        np.multiply(d10, psi, out=dinc)
+        dinc += np.multiply(d11, dpsi, out=tmp)
+        psi += inc
+        dpsi += dinc
+    _check_guard(psi, dpsi)
+    return psi, dpsi

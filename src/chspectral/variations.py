@@ -30,7 +30,7 @@ from numpy.polynomial import chebyshev
 
 from .brackets import ProductField
 from .quadrature import grid_integral, trajectory_integral
-from .shooting import _apply, _step_entries, solve_fundamental
+from .shooting import _apply, _step_entries, _table, solve_fundamental
 
 VANISH_GUARD = 1e-12
 _CHEB_NODES = np.cos(np.pi * (np.arange(8) + 0.5) / 8.0)
@@ -186,11 +186,9 @@ def _bumped_endpoints(m, lams, sites, n, eps, steps):
     """(y2(1), y2'(1)) for m_s + eps hat, then m_s - eps hat, at each site and
     lambda: lanes (sign, site, lambda), each run of steps under a hat in turn."""
     pairs = [solve_fundamental(m, lam, steps) for lam in lams]
-    xs = pairs[0][0].xs
+    t = _table(m, steps, dense=True)
+    xs = t.xs
     u = np.array([[t1.psi, t2.psi, t1.dpsi, t2.dpsi] for t1, t2 in pairs]).transpose(1, 2, 0)
-    jump = np.zeros(xs.size - 1)    # an atom is a zero-length step: its jump
-    for atom in m.atoms:
-        jump[(xs[:-1] == atom.q) & (xs[1:] == atom.q)] = atom.p
     centre = np.mod(sites, n) / n
     v = np.multiply.outer([0.0, 1.0], np.ones((2, centre.size, len(lams))))
     # every site's run from max(centre - 1/n, 0), then site 0's tail run to 1
@@ -198,13 +196,14 @@ def _bumped_endpoints(m, lams, sites, n, eps, steps):
     for j, lo, hi in (head, (np.nonzero(centre == 0.0)[0], 1.0 - 1.0 / n, 1.0)):
         a = np.searchsorted(xs, np.broadcast_to(lo, j.shape), "right") - 1
         b = np.searchsorted(xs, np.broadcast_to(hi, j.shape), "left")
-        # rows (offset, site); an offset past a run's end is a zero-length step
+        # rows (offset, site): table rows a + 1 ... b take state a to state b;
+        # an offset past a run's end is a zero-length step
         off = np.arange(np.max(b - a, initial=0))[:, None]
-        i = np.minimum(a + off, xs.size - 2)
-        nodes = np.stack((xs[i], 0.5 * (xs[i] + xs[i + 1]), xs[i + 1]), axis=1)
+        r = np.minimum(a + off, xs.size - 2) + 1
+        nodes = t.nodes[2 * r[:, None] + np.arange(3)[:, None]]
         hat = n * np.clip(1.0 - n * np.abs(np.mod(nodes - centre[j] + 0.5, 1.0) - 0.5), 0.0, None)
         msub = (m.smooth_value(nodes)[:, :, None] + hat[:, :, None] * [[eps], [-eps]])[..., None]
-        h, p = (np.where(off < b - a, w, 0.0)[..., None] for w in (xs[i + 1] - xs[i], jump[i]))
+        h, p = (np.where(off < b - a, w[r], 0.0)[..., None] for w in (t.h, t.p))
         col = _times(u[:, a], v[:, :, j])
         for k in range(off.size):
             d00, d01, d10, d11 = _step_entries(*(0.25 - lams * msub[k]), h[k])

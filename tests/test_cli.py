@@ -127,6 +127,19 @@ def test_spectrum_lambda_min_zero_gives_the_default_rows(tmp_path):
                                                            rel=1e-13)
 
 
+def test_spectrum_edge_index_ranks_within_the_window(tmp_path):
+    # an edge row's index is its rank among the window's edges of its kind;
+    # an aux row's index is its Sturm index, whatever the window
+    cfg = write_config(tmp_path, corpus_specs()["two_mode"])
+    full = spectrum_rows(tmp_path, cfg, "--lambda-max", "200")
+    upper = spectrum_rows(tmp_path, cfg, "--lambda-min", "100", "--lambda-max", "200")
+    for rows, index in ((full, "4"), (upper, "1")):
+        edge = [r for r in rows if r[0] == "periodic" and abs(float(r[2]) - 159.168) < 1e-3]
+        assert [r[1] for r in edge] == [index]
+    assert [r[1] for r in upper if r[0] == "aux"] == ["4"]
+    assert ["aux", "4"] in [r[:2] for r in full]
+
+
 def test_verify_writes_report_and_field_csvs(tmp_path):
     assert entry(["verify", "hamiltonian", "--out", str(tmp_path)]) == 0
     doc = json.loads((tmp_path / "verify_hamiltonian.json").read_text())

@@ -194,7 +194,8 @@ def test_zero_count_matches_the_dense_trajectory():
     atoms = make_coefficient({"smooth": {"kind": "const", "value": 0.0},
                               "atoms": [{"q": 0.2, "p": 1.0}, {"q": 0.6, "p": 2.0},
                                         {"q": 0.9, "p": -0.5}]})
-    for m in (mixed, atoms):
+    at_zero = make_coefficient(REFERENCE_MEMBERS["atom_at_zero"])
+    for m in (mixed, atoms, at_zero):
         for lam in (-300.0, -40.0, 5.0, 50.0, 300.0, 551.6):
             _, t2 = solve_fundamental(m, lam, steps=4096)
             negative = np.signbit(t2.psi[1:])
@@ -247,6 +248,9 @@ REFERENCE_MEMBERS = {
                             "sin": [0.0, 0.1]}, "atoms": []},
     "mixed": {"smooth": {"kind": "fourier", "a0": 1.0, "cos": [0.3], "sin": [0.0, 0.1]},
               "atoms": [{"q": 0.37, "p": 0.6}, {"q": 0.999, "p": 0.4}]},
+    # the jump at x = 0 acts on the initial data; x = 0 is stored once, post-jump
+    "atom_at_zero": {"smooth": {"kind": "fourier", "a0": 1.0, "cos": [0.3]},
+                     "atoms": [{"q": 0.0, "p": 0.5}, {"q": 0.999, "p": 0.4}]},
 }
 
 

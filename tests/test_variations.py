@@ -230,6 +230,9 @@ BUMPED_MEMBERS = {
     "peakon_offset": {"smooth": {"kind": "const", "value": 0.0},
                       "atoms": [{"q": 0.3, "p": 1.0}]},
     "indefinite": {"smooth": {"kind": "fourier", "a0": 0.2, "cos": [1.0]}},
+    # the grid of the stretch [0.03, 0.3] ends at 0.03 + 0.27 != 0.3
+    "grid_end_off_atom": {"smooth": {"kind": "fourier", "a0": 1.0, "cos": [0.3]},
+                          "atoms": [{"q": 0.03, "p": 0.5}, {"q": 0.3, "p": 0.4}]},
 }
 
 
@@ -237,8 +240,8 @@ BUMPED_MEMBERS = {
 def test_bumped_endpoints_match_the_bumped_coefficient(name):
     # the oracle's factorisation U(1) U(b)^-1 H U(a) against a whole-period
     # integration of m +- eps hat: the hat at site 0 wraps, the one at 63 ends
-    # at x = 1, and those at 0, 19, 24 and 63 straddle an atom of mixed or
-    # peakon_offset, where the run takes the atom's jump
+    # at x = 1, and those at 0, 1, 19, 24 and 63 straddle an atom of mixed,
+    # peakon_offset or grid_end_off_atom, where the run takes the atom's jump
     m = make_coefficient(BUMPED_MEMBERS[name])
     n, steps, eps = 64, 1024, 1e-3
     sites = [0, 1, 19, 24, n // 2, n - 1]
