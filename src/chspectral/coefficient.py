@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 TWO_PI = 2.0 * math.pi
 
@@ -118,6 +117,8 @@ class SampleSmooth:
         if not np.all(np.isfinite(vals)):
             raise CoefficientError("samples smooth part contains non-finite values")
         self.samples = vals
+        from scipy.interpolate import CubicSpline   # here: only samples pay for scipy
+
         grid = np.linspace(0.0, 1.0, vals.size + 1)
         self._spline = CubicSpline(grid, np.append(vals, vals[0]), bc_type="periodic")
 

@@ -18,8 +18,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
+from .roots import _brentq as brentq
 from .shooting import (
     DEFAULT_STEPS,
     endpoint_column,
@@ -34,7 +34,7 @@ DEGENERATE_TOL = 1e-8   # |y1(1, mu) - y2'(1, mu)| (= 1/rho - rho) cut for the b
 JORDAN_TOL = 1e-6       # |y1'(1, mu)| scale separating U = +-I from a Jordan block
 EDGE_TOL = 1e-6         # relative distance at which a point counts as on an edge
 _BRENT_XTOL = 1e-13
-_BRENT_RTOL = 8.9e-16   # scipy refuses anything below 4 * machine eps
+_BRENT_RTOL = 8.9e-16   # just above 4 * machine eps, the least rtol brentq accepts
 _KINDS = {1.0: "periodic", -1.0: "antiperiodic"}
 
 
@@ -151,7 +151,10 @@ def auxiliary_spectrum(m, lam_min=GUARD_BAND, lam_max=None, count=None,
         # purely atomic coefficient: y2(1, .) is a polynomial of degree
         # len(atoms), so the auxiliary spectrum is finite
         count = min(count, len(m.atoms))
-    g = functools.lru_cache(maxsize=None)(_dirichlet(m, steps))
+    monodromy = _monodromy(m, steps)
+
+    def g(lam):
+        return monodromy(lam).y2
 
     @functools.lru_cache(maxsize=None)
     def signed(lam):
@@ -185,19 +188,19 @@ def auxiliary_spectrum(m, lam_min=GUARD_BAND, lam_max=None, count=None,
                                f"piece at lambda={a:.17g}")
 
     found = itertools.chain.from_iterable(points(a, b) for a, b in zip(cuts, cuts[1:]))
-    return [_assemble_point(m, index, mu, steps)
+    return [_assemble_point(index, mu, monodromy(mu), steps)
             for mu, index in itertools.islice(found, count)]
 
 
-def _dirichlet(m, steps):
-    """lam -> y2(1, lam), whose zeros are the auxiliary points."""
-    def g(lam):
-        return fundamental_matrix(m, lam, 1.0, steps).y2
-    return g
+def _monodromy(m, steps):
+    """lam -> U(1, lam), each lambda integrated once per search."""
+    @functools.lru_cache(maxsize=None)
+    def monodromy(lam):
+        return fundamental_matrix(m, lam, 1.0, steps)
+    return monodromy
 
 
-def _assemble_point(m, index, mu, steps):
-    U = fundamental_matrix(m, mu, 1.0, steps)
+def _assemble_point(index, mu, U, steps):
     delta = 0.5 * U.trace
     return AuxiliaryPoint(index=index, mu=mu, rho=U.dy2, rho_tilde=U.y1,
                           delta=delta, dy1_end=U.dy1,
@@ -208,10 +211,11 @@ def _assemble_point(m, index, mu, steps):
 def refine_point(m, point, steps):
     """Re-polish an auxiliary point at a different step count."""
     w = max(1e-7, 1e-9 * max(1.0, abs(point.mu)))
-    mu = _polish_bracket(_dirichlet(m, steps), point.mu - w, point.mu + w)
+    monodromy = _monodromy(m, steps)
+    mu = _polish_bracket(lambda lam: monodromy(lam).y2, point.mu - w, point.mu + w)
     if mu is None:
         raise RuntimeError(f"lost the root near mu={point.mu:.12g} at steps={steps}")
-    return _assemble_point(m, point.index, mu, steps)
+    return _assemble_point(point.index, mu, monodromy(mu), steps)
 
 
 def _jordan(point):
@@ -255,9 +259,16 @@ def periodic_spectrum(m, lam_min, lam_max, steps=DEFAULT_STEPS, points=None):
     """
     if points is None:
         points = auxiliary_spectrum(m, lam_min=lam_min, lam_max=lam_max, steps=steps)
+    # Delta at every lambda met so far; a point's delta is Delta at its mu, bit for bit
+    known = {pt.mu: pt.delta for pt in points if pt.steps == steps}
+
+    def delta_at(lam):
+        if lam not in known:
+            known[lam] = discriminant(m, lam, steps)
+        return known[lam]
 
     def anchor(lam):
-        return lam, discriminant(m, lam, steps)
+        return lam, delta_at(lam)
 
     anchors = [anchor(lam_min), anchor(lam_max)]
     if lam_min < 0.0 < lam_max:
@@ -280,7 +291,7 @@ def periodic_spectrum(m, lam_min, lam_max, steps=DEFAULT_STEPS, points=None):
     for (a, fa), (b, fb) in zip(anchors, anchors[1:]):
         for t, kind in _KINDS.items():
             if (fa - t) * (fb - t) <= 0.0:
-                lam = brentq(lambda x: discriminant(m, x, steps) - t, a, b,
+                lam = brentq(lambda x: delta_at(x) - t, a, b,
                              xtol=_BRENT_XTOL, rtol=_BRENT_RTOL)
                 edges.append(BandEdge(lam, kind, 1))
     edges.sort(key=lambda e: e.lam)

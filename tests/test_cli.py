@@ -244,14 +244,37 @@ def test_reruns_are_byte_identical(tmp_path):
     assert (a / "discriminant.csv").read_bytes() == (b / "discriminant.csv").read_bytes()
 
 
-def test_module_invocation(tmp_path):
-    cfg = write_config(tmp_path, CONST)
-    # the child imports the same package sources as this test process
+def fresh_python(*argv):
+    """Run `python argv...` in a fresh interpreter on this test's package sources."""
     src = os.path.dirname(os.path.dirname(chspectral.__file__))
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    proc = subprocess.run(
-        [sys.executable, "-m", "chspectral", "discriminant", "--config", cfg,
-         "--lambda-min", "0", "--lambda-max", "1", "--count", "3"],
-        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path))
+
+
+def test_module_invocation(tmp_path):
+    cfg = write_config(tmp_path, CONST)
+    proc = fresh_python("-m", "chspectral", "discriminant", "--config", cfg,
+                        "--lambda-min", "0", "--lambda-max", "1", "--count", "3")
     assert proc.returncode == 0
     assert proc.stdout.startswith("lambda,delta")
+
+
+def test_import_path_loads_no_scipy():
+    # scipy is imported only when a samples coefficient builds its spline
+    configs = os.path.join(os.path.dirname(os.path.dirname(__file__)), "configs")
+    paths = sorted(os.path.join(configs, name) for name in os.listdir(configs))
+    assert len(paths) >= 5
+    proc = fresh_python(
+        "-c",
+        "import sys\n"
+        "import chspectral.cli\n"
+        "from chspectral import load_coefficient, make_coefficient\n"
+        "for path in sys.argv[1:]:\n"
+        "    load_coefficient(path)\n"
+        "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))\n"
+        "make_coefficient({'smooth': {'kind': 'samples', 'values': [1.0, 1.2, 1.0, 0.8]}})\n"
+        "print('scipy.interpolate' in sys.modules)\n",
+        *paths)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "True"]

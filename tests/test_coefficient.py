@@ -77,6 +77,19 @@ def test_sample_smooth_interpolates_and_wraps():
     assert s.value(-0.2) == pytest.approx(s.value(0.8), abs=1e-14)
 
 
+def test_sample_smooth_evaluates_through_the_periodic_cubic_spline():
+    from scipy.interpolate import CubicSpline
+
+    vals = 1.0 + 0.2 * np.cos(2 * np.pi * np.arange(16) / 16.0)
+    s = SampleSmooth(tuple(vals))
+    spline = CubicSpline(np.linspace(0.0, 1.0, 17), np.append(vals, vals[0]),
+                         bc_type="periodic")
+    xs = np.array([0.0, 0.03, 0.1, 0.33, 0.5, 0.71, 0.999])
+    np.testing.assert_array_equal(s.value(xs), spline(xs))
+    np.testing.assert_array_equal(s.derivative(xs), spline(xs, 1))
+    assert s.value(1.1) == float(spline(np.mod(1.1, 1.0)))
+
+
 def test_sample_smooth_needs_enough_points():
     with pytest.raises(CoefficientError):
         SampleSmooth((1.0, 2.0, 3.0))

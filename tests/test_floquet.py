@@ -418,6 +418,27 @@ def test_spectra_share_one_auxiliary_scan(monkeypatch, tmp_path):
     assert len(scans) == 2
 
 
+@pytest.mark.parametrize("cos,sin", [([0.25], [0.0, 0.1]), ([0.3], [])],
+                         ids=["two_mode", "cosine"])
+def test_no_lambda_is_integrated_twice(monkeypatch, cos, sin):
+    # the polished mu's monodromy is the one brentq evaluated last, and the
+    # edge brackets start from the anchors' Delta, a point's delta included
+    m = make_coefficient({"smooth": {"kind": "fourier", "a0": 1.0, "cos": cos, "sin": sin}})
+    lams, real = [], floquet.fundamental_matrix
+
+    def counted(m, lam, *args, **kwargs):
+        lams.append(lam)
+        return real(m, lam, *args, **kwargs)
+
+    monkeypatch.setattr(floquet, "fundamental_matrix", counted)
+    points = auxiliary_spectrum(m, 1e-6, 50.0)
+    assert len(points) == 2 and len(lams) == len(set(lams))
+    lams.clear()
+    edges = periodic_spectrum(m, 1e-6, 50.0, points=points)
+    assert len(edges) >= 5 and len(lams) == len(set(lams))
+    assert not {p.mu for p in points} & set(lams)
+
+
 @pytest.mark.parametrize("spec", [
     {"smooth": {"kind": "const", "value": -1.0}, "atoms": []},
     {"smooth": {"kind": "const", "value": 0.0}, "atoms": [{"q": 0.3, "p": -1.0}]},
