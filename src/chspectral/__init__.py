@@ -28,7 +28,6 @@ from .floquet import (
     discriminant,
     discriminant_sweep,
     gap_check,
-    multipliers,
     periodic_spectrum,
     refine_point,
     second_floquet,

@@ -97,38 +97,6 @@ def discriminant_sweep(m, lams, steps=DEFAULT_STEPS):
     return 0.5 * (psi[0] + dpsi[1])
 
 
-def multipliers(delta):
-    """Roots of rho^2 - 2 delta rho + 1 = 0 in a cancellation-free form.
-
-    Returns (expanding, contracting) with product exactly 1; inside a band
-    (|delta| <= 1) the pair is complex conjugate on the unit circle.
-    """
-    if abs(delta) <= 1.0:
-        im = math.sqrt(max(0.0, 1.0 - delta * delta))
-        return complex(delta, im), complex(delta, -im)
-    s = math.copysign(1.0, delta)
-    big = delta + s * math.sqrt(delta * delta - 1.0)
-    return big, 1.0 / big
-
-
-def _polish_bracket(g, a, b):
-    """brentq with sign re-checks; expands the bracket if the signs moved."""
-    fa, fb = g(a), g(b)
-    width = b - a
-    tries = 0
-    while fa * fb > 0.0 and tries < 8:
-        a, b = a - width, b + width
-        fa, fb = g(a), g(b)
-        tries += 1
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    if fa * fb > 0.0:
-        return None
-    return brentq(g, a, b, xtol=_BRENT_XTOL, rtol=_BRENT_RTOL)
-
-
 def auxiliary_spectrum(m, lam_min=GUARD_BAND, lam_max=None, count=None,
                        steps=DEFAULT_STEPS):
     """Zeros mu_i of y2(1, .) in a window, each bracketed alone by the Sturm count.
@@ -151,7 +119,11 @@ def auxiliary_spectrum(m, lam_min=GUARD_BAND, lam_max=None, count=None,
         # purely atomic coefficient: y2(1, .) is a polynomial of degree
         # len(atoms), so the auxiliary spectrum is finite
         count = min(count, len(m.atoms))
-    monodromy = _monodromy(m, steps)
+
+    @functools.lru_cache(maxsize=None)
+    def monodromy(lam):
+        # U(1, lam), each lambda integrated once per search
+        return fundamental_matrix(m, lam, 1.0, steps)
 
     def g(lam):
         return monodromy(lam).y2
@@ -192,14 +164,6 @@ def auxiliary_spectrum(m, lam_min=GUARD_BAND, lam_max=None, count=None,
             for mu, index in itertools.islice(found, count)]
 
 
-def _monodromy(m, steps):
-    """lam -> U(1, lam), each lambda integrated once per search."""
-    @functools.lru_cache(maxsize=None)
-    def monodromy(lam):
-        return fundamental_matrix(m, lam, 1.0, steps)
-    return monodromy
-
-
 def _assemble_point(index, mu, U, steps):
     delta = 0.5 * U.trace
     return AuxiliaryPoint(index=index, mu=mu, rho=U.dy2, rho_tilde=U.y1,
@@ -209,13 +173,13 @@ def _assemble_point(index, mu, U, steps):
 
 
 def refine_point(m, point, steps):
-    """Re-polish an auxiliary point at a different step count."""
-    w = max(1e-7, 1e-9 * max(1.0, abs(point.mu)))
-    monodromy = _monodromy(m, steps)
-    mu = _polish_bracket(lambda lam: monodromy(lam).y2, point.mu - w, point.mu + w)
-    if mu is None:
-        raise RuntimeError(f"lost the root near mu={point.mu:.12g} at steps={steps}")
-    return _assemble_point(point.index, mu, monodromy(mu), steps)
+    """The point of the same Sturm index at a different step count, searched
+    for by auxiliary_spectrum within 17 max(1e-7, 1e-9 max(1, |mu|)) of mu."""
+    w = 17.0 * max(1e-7, 1e-9 * max(1.0, abs(point.mu)))
+    for pt in auxiliary_spectrum(m, point.mu - w, point.mu + w, steps=steps):
+        if pt.index == point.index:
+            return pt
+    raise RuntimeError(f"lost the root near mu={point.mu:.12g} at steps={steps}")
 
 
 def _jordan(point):

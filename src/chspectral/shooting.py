@@ -7,7 +7,8 @@ carries the jump psi' -> psi' - lambda p psi(q).  Where the smooth part
 vanishes identically a stretch is one exact step (psi'' = psi/4), except in
 the dense pair, which keeps the RK4 grid; so purely atomic coefficients
 bypass the integrator.  An RK4 step over [x, x+h] is built from
-c = 1/4 - lambda m at x, x+h/2 and x+h, with entries quadratic in lambda.
+c = 1/4 - lambda m at x, x+h/2 and x+h, with entries quadratic in lambda;
+the table samples m_s at those nodes once, when it is built.
 
 For one lambda a short table is folded row by row in Python floats and a
 long one multiplied as a pairwise tree; a batch of lambdas advances its
@@ -100,21 +101,23 @@ def _check_guard(*values):
 class _Table(NamedTuple):
     """Every step over [0, x1].  Row r has length h[r] (0 on an atom; h is
     one float when the rows are the steps of one stretch) and atom weight p[r]
-    (0 off the atoms); its RK4 nodes are nodes[2r : 2r + 3] and, in the dense
-    pair's table, it ends at xs[r].  A table of one exact step per stretch has
-    no nodes."""
+    (0 off the atoms); m_s takes the values ms[2r : 2r + 3] at its RK4 nodes
+    (ms is None when the rows are exact).  Only the dense pair's table keeps
+    the nodes, nodes[2r : 2r + 3], and the row ends, row r ending at xs[r]."""
 
     xs: np.ndarray | None
     h: np.ndarray | float
     p: np.ndarray
     nodes: np.ndarray | None
+    ms: np.ndarray | None
     segments: tuple[tuple[int, int], ...]   # inclusive xs ranges of the stretches
 
 
 def _table(m, steps, x1=1.0, dense=False):
     """The step table of m over [0, x1] at `steps` RK4 steps per unit length
     (at least two per stretch, and even, so that Simpson's rule applies
-    stretch by stretch); atoms at or above x1 - 1e-14 are left out.
+    stretch by stretch); atoms at or above x1 - 1e-14 are left out.  The
+    smooth part is sampled here, once, at the RK4 nodes.
 
     Row 0, the zero-length step at x = 0, is the atom there; the dense pair's
     table has it without one too, so that its grid holds x = 0 once.
@@ -128,7 +131,7 @@ def _table(m, steps, x1=1.0, dense=False):
             h += (q - pos, 0.0)
             p += (0.0, w)
             pos = q
-        return _Table(None, np.array(h + [x1 - pos]), np.array(p + [0.0]), None, ())
+        return _Table(None, np.array(h + [x1 - pos]), np.array(p + [0.0]), None, None, ())
     # pieces (rows, h, p, row ends, nodes); row r's first node is row r-1's last
     pieces = [(1, 0.0, w, [0.0], [0.0, 0.0]) for _, w in head]
     size, pos, segments = len(head), 0.0, []
@@ -147,8 +150,11 @@ def _table(m, steps, x1=1.0, dense=False):
     rows, h, p, xs, nodes = zip(*pieces)
     # one stretch and no atom: every row has the same length, kept as one float
     h = h[0] if len(rows) == 1 else np.repeat(h, rows)
+    nodes = np.concatenate(([0.0],) + nodes)
     return _Table(np.concatenate(xs) if dense else None, h, np.repeat(p, rows),
-                  np.concatenate(([0.0],) + nodes), tuple(segments) if dense else ())
+                  nodes if dense else None,
+                  None if m.smooth_is_zero else m.smooth_value(nodes),
+                  tuple(segments) if dense else ())
 
 
 # ---------------------------------------------------------------------------
@@ -195,12 +201,12 @@ def _exact(t):
     return np.array((ch1, 2.0 * sh, 0.5 * sh, ch1))
 
 
-def _entries(m, t, lam):
+def _entries(t, lam):
     """Rows of D of every row of t at one lambda, the jump -lambda p in d10."""
-    if m.smooth_is_zero:
+    if t.ms is None:
         d = _exact(t)
     else:
-        c = 0.25 - lam * m.smooth_value(t.nodes)
+        c = 0.25 - lam * t.ms
         d = np.array(_step_entries(c[0:-1:2], c[1::2], c[2::2], t.h))
     d[2] -= lam * t.p
     return d
@@ -245,7 +251,6 @@ def _prefix_products(e):
 # ---------------------------------------------------------------------------
 # public operations
 
-@np.errstate(over="ignore", invalid="ignore")
 def solve_fundamental(m, lam, steps=DEFAULT_STEPS):
     """Dense fundamental pair y1 (1,0) and y2 (0,1) over one period [0, 1].
 
@@ -255,22 +260,26 @@ def solve_fundamental(m, lam, steps=DEFAULT_STEPS):
     the rows applied to the identity.
     """
     t = _table(m, steps, dense=True)
-    d = _prefix_products(_entries(m, t, lam))
-    # rows (y1, y2) of psi and of psi'
-    psi, dpsi = _apply(d, np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]]))
-    _check_guard(psi, dpsi)
+    psi, dpsi = _dense(t, lam)
     return tuple(SolutionTrajectory(lam=lam, xs=t.xs, psi=psi[k], dpsi=dpsi[k],
                                     segments=t.segments) for k in (0, 1))
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _dense(t, lam):
+    """Rows (y1, y2) of psi and of psi' at the end of every row of the dense table t."""
+    d = _prefix_products(_entries(t, lam))
+    psi, dpsi = _apply(d, np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]]))
+    _check_guard(psi, dpsi)
+    return psi, dpsi
 
 
 def fundamental_matrix(m, lam, x=1.0, steps=DEFAULT_STEPS):
     """Transfer matrix U(x, lam) for x in one period [0, 1]: the product of the table's rows."""
     if not 0.0 <= x <= 1.0:
         raise ValueError("fundamental matrix is tracked over one period [0, 1] only")
-    if x == 0.0:
-        return FundamentalMatrix(x=0.0, lam=lam, y1=1.0, y2=0.0, dy1=0.0, dy2=1.0)
     with np.errstate(over="ignore", invalid="ignore"):
-        u = _transfer(_entries(m, _table(m, steps, x), lam))
+        u = _transfer(_entries(_table(m, steps, x), lam))
     _check_guard(u)
     return FundamentalMatrix(x, lam, *u.tolist())
 
@@ -288,8 +297,8 @@ def positive_part_vanishes(m, steps=DEFAULT_STEPS):
     Then c >= 1/4 at every node for lambda > 0, so every step-matrix entry is
     positive and y2(1, lambda) > 0: no auxiliary point lies above lambda = 0.
     """
-    t = _table(m, steps, dense=True)
-    return max(np.max(t.p), np.max(m.smooth_value(t.nodes))) <= 0.0
+    t = _table(m, steps)
+    return np.max(t.p) <= 0.0 and (t.ms is None or np.max(t.ms) <= 0.0)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -301,7 +310,7 @@ def zero_count(m, lam, steps=DEFAULT_STEPS):
     an exact stretch (psi'' = psi/4) is one row and holds at most one zero, so
     only its ends are read.
     """
-    d = _prefix_products(_entries(m, _table(m, steps), lam))
+    d = _prefix_products(_entries(_table(m, steps), lam))
     psi, dpsi = d[1], 1.0 + d[3]
     _check_guard(psi, dpsi)
     negative = np.signbit(np.append(0.0, psi))      # y2 > 0 just right of x = 0
@@ -322,12 +331,12 @@ def endpoint_column(m, lams, column=(0.0, 1.0), steps=DEFAULT_STEPS, x1=1.0):
     lams = np.asarray(lams, dtype=float)
     psi, dpsi = (np.multiply.outer(c, np.ones(lams.shape)) for c in np.asarray(column, float))
     t = _table(m, steps, x1)
-    if m.smooth_is_zero:
+    if t.ms is None:
         # exact rows: D is affine in lambda
         polys = np.zeros((t.h.size, 4, 3))
         polys[:, :, 0] = _exact(t).T
     else:
-        polys = _step_polys(m.smooth_value(t.nodes), t.h)
+        polys = _step_polys(t.ms, t.h)
     polys[:, 2, 1] -= t.p
     powers = np.stack((np.ones(lams.size), lams.ravel(), lams.ravel() ** 2))
     # _apply written out in place: no allocation per row

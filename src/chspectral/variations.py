@@ -30,7 +30,7 @@ from numpy.polynomial import chebyshev
 
 from .brackets import ProductField
 from .quadrature import grid_integral, trajectory_integral
-from .shooting import _apply, _step_entries, _table, solve_fundamental
+from .shooting import _apply, _dense, _step_entries, _table, solve_fundamental
 
 VANISH_GUARD = 1e-12
 _CHEB_NODES = np.cos(np.pi * (np.arange(8) + 0.5) / 8.0)
@@ -184,11 +184,12 @@ def _times(u, col):
 
 def _bumped_endpoints(m, lams, sites, n, eps, steps):
     """(y2(1), y2'(1)) for m_s + eps hat, then m_s - eps hat, at each site and
-    lambda: lanes (sign, site, lambda), each run of steps under a hat in turn."""
-    pairs = [solve_fundamental(m, lam, steps) for lam in lams]
+    lambda: lanes (sign, site, lambda), each run of steps under a hat in turn.
+    The base dense pairs and m_s at the hat nodes come from one dense table."""
     t = _table(m, steps, dense=True)
     xs = t.xs
-    u = np.array([[t1.psi, t2.psi, t1.dpsi, t2.dpsi] for t1, t2 in pairs]).transpose(1, 2, 0)
+    # rows (y1, y2, y1', y2') of the base pairs, lambda last
+    u = np.array([_dense(t, lam) for lam in lams]).reshape(len(lams), 4, -1).transpose(1, 2, 0)
     centre = np.mod(sites, n) / n
     v = np.multiply.outer([0.0, 1.0], np.ones((2, centre.size, len(lams))))
     # every site's run from max(centre - 1/n, 0), then site 0's tail run to 1
@@ -200,9 +201,11 @@ def _bumped_endpoints(m, lams, sites, n, eps, steps):
         # an offset past a run's end is a zero-length step
         off = np.arange(np.max(b - a, initial=0))[:, None]
         r = np.minimum(a + off, xs.size - 2) + 1
-        nodes = t.nodes[2 * r[:, None] + np.arange(3)[:, None]]
-        hat = n * np.clip(1.0 - n * np.abs(np.mod(nodes - centre[j] + 0.5, 1.0) - 0.5), 0.0, None)
-        msub = (m.smooth_value(nodes)[:, :, None] + hat[:, :, None] * [[eps], [-eps]])[..., None]
+        node = 2 * r[:, None] + np.arange(3)[:, None]
+        hat = n * np.clip(1.0 - n * np.abs(np.mod(t.nodes[node] - centre[j] + 0.5, 1.0) - 0.5),
+                          0.0, None)
+        base = 0.0 if t.ms is None else t.ms[node][:, :, None]
+        msub = (base + hat[:, :, None] * [[eps], [-eps]])[..., None]
         h, p = (np.where(off < b - a, w[r], 0.0)[..., None] for w in (t.h, t.p))
         col = _times(u[:, a], v[:, :, j])
         for k in range(off.size):

@@ -1,4 +1,4 @@
-"""Discriminant, multipliers, auxiliary spectrum, band edges, gap counting."""
+"""Discriminant, auxiliary spectrum, band edges, gap counting."""
 
 import math
 import time
@@ -14,7 +14,6 @@ from chspectral.floquet import (
     discriminant,
     discriminant_sweep,
     gap_check,
-    multipliers,
     periodic_spectrum,
     refine_point,
     second_floquet,
@@ -65,30 +64,6 @@ def test_discriminant_sweep_matches_scalar():
     sweep = discriminant_sweep(m, lams, steps=512)
     for k, lam in enumerate(lams):
         assert sweep[k] == pytest.approx(discriminant(m, lam, steps=512), rel=1e-13)
-
-
-def test_multipliers_real_pair():
-    big, small = multipliers(1.25)
-    assert big == pytest.approx(2.0)
-    assert small == pytest.approx(0.5)
-    assert big * small == pytest.approx(1.0, rel=1e-15)
-
-
-def test_multipliers_negative_and_huge():
-    big, small = multipliers(-3.0)
-    assert big == pytest.approx(-3.0 - math.sqrt(8.0))
-    assert small == pytest.approx(-3.0 + math.sqrt(8.0), rel=1e-12)
-    big, small = multipliers(1e8)
-    assert big == pytest.approx(2e8, rel=1e-8)
-    assert small == pytest.approx(5e-9, rel=1e-8)
-    assert big * small == pytest.approx(1.0, rel=1e-15)
-
-
-def test_multipliers_inside_band():
-    a, b = multipliers(0.3)
-    assert a == b.conjugate()
-    assert abs(a) == pytest.approx(1.0, rel=1e-15)
-    assert a * b == pytest.approx(1.0, rel=1e-14)
 
 
 def test_auxiliary_spectrum_constant_coefficient():
@@ -146,8 +121,11 @@ def test_auxiliary_spectrum_never_calls_endpoint_column(monkeypatch):
     monkeypatch.setattr(floquet, "endpoint_column", no_scan)
     grown = auxiliary_spectrum(two_mode(), count=3)
     window = auxiliary_spectrum(two_mode(), lam_max=100.0)
-    assert [(p.index, p.mu) for p in grown] == [(p.index, p.mu) for p in window]
-    assert [p.index for p in window] == [1, 2, 3]
+    assert [p.index for p in grown] == [p.index for p in window] == [1, 2, 3]
+    # the two searches polish each point from different brackets, so the mus
+    # agree within what each brentq polish guarantees, not bit for bit
+    for a, b in zip(grown, window):
+        assert abs(a.mu - b.mu) <= 2.0 * (1e-13 + 8.9e-16 * abs(b.mu))
 
 
 def test_auxiliary_spectrum_window_matches_count_on_two_mode():
@@ -215,6 +193,24 @@ def test_refine_point_tracks_root():
     finer = refine_point(m, pt, steps=2048)
     assert finer.steps == 2048
     assert finer.mu == pytest.approx(pt.mu, rel=1e-8)
+
+
+def test_refine_point_is_the_windowed_point_of_the_same_index():
+    m = two_mode()
+    for pt in auxiliary_spectrum(m, count=3):
+        w = 17.0 * max(1e-7, 1e-9 * max(1.0, pt.mu))
+        for steps in (512, 2048):
+            finer = refine_point(m, pt, steps=steps)
+            window = auxiliary_spectrum(m, pt.mu - w, pt.mu + w, steps=steps)
+            assert finer.index == pt.index
+            assert finer in window
+
+
+def test_refine_point_loses_a_root_that_moved_out_of_its_window():
+    # 256 steps move two_mode's third point by more than 17 w
+    pt = auxiliary_spectrum(two_mode(), count=3)[2]
+    with pytest.raises(RuntimeError, match="lost the root"):
+        refine_point(two_mode(), pt, steps=256)
 
 
 def ends(t):

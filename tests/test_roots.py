@@ -47,10 +47,11 @@ def used_brackets(monkeypatch):
 
 def test_port_matches_scipy_on_the_corpus_brackets(monkeypatch):
     calls = used_brackets(monkeypatch)
-    # y2(1, .) brackets (auxiliary points, refine_point) and Delta -+ 1 ones (edges)
+    # y2(1, .) brackets (auxiliary points, refine_point's included) and
+    # Delta -+ 1 ones (edges)
     assert len(calls) > 100
     assert {name.split(".")[0] for name in calls} == {
-        "auxiliary_spectrum", "periodic_spectrum", "refine_point"}
+        "auxiliary_spectrum", "periodic_spectrum"}
 
 
 def test_port_matches_scipy_at_a_bracket_end():

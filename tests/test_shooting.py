@@ -107,6 +107,21 @@ def test_atom_at_origin_applies_once():
     np.testing.assert_allclose(got, want, atol=1e-14)
 
 
+def test_transfer_matrix_at_zero_is_the_identity():
+    # the table over [0, 0] holds no step of length > 0 and leaves out the
+    # atom at q = 0, whose jump acts just right of 0
+    members = [
+        {"smooth": {"kind": "fourier", "a0": 1.0, "cos": [0.25], "sin": [0.0, 0.1]}},
+        {"smooth": {"kind": "fourier", "a0": 1.0, "cos": [0.3]},
+         "atoms": [{"q": 0.0, "p": 0.5}, {"q": 0.999, "p": 0.4}]},
+        {"atoms": [{"q": 0.3, "p": 1.0}]},
+    ]
+    for spec in members:
+        for lam in (-50.0, 0.0, 39.4, 4000.0):
+            U = fundamental_matrix(make_coefficient(spec), lam, x=0.0)
+            assert (U.y1, U.y2, U.dy1, U.dy2) == (1.0, 0.0, 0.0, 1.0)
+
+
 def test_rk4_fourth_order_convergence():
     # halving h divides the endpoint error by about 16
     lam = 30.0

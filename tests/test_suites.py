@@ -1,6 +1,6 @@
 import pytest
 
-from chspectral import floquet, suites, variations
+from chspectral import floquet, shooting, suites, variations
 from chspectral.coefficient import make_coefficient
 from chspectral.corpus import CorpusMember, corpus_specs, default_corpus
 from chspectral.suites import (
@@ -139,7 +139,7 @@ def test_run_suite_builds_each_point_once(monkeypatch):
     mods = [floquet, suites, variations]
     floquets = count_calls(monkeypatch, mods[:2], "second_floquet")
     bundles = count_calls(monkeypatch, mods[1:], "gradient_bundle")
-    pairs = count_calls(monkeypatch, mods, "solve_fundamental")
+    pairs = count_calls(monkeypatch, [shooting, variations], "_dense")
     run_suite("all")
     for calls, most in ((floquets, 10), (bundles, 8)):
         mus = [args[1].mu for args in calls]

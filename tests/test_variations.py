@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from chspectral import variations
+from chspectral import shooting, variations
 from chspectral.coefficient import BumpedSmooth, PeriodicCoefficient, make_coefficient
 from chspectral.floquet import auxiliary_spectrum, second_floquet
 from chspectral.shooting import fundamental_matrix, solve_fundamental, trajectory_wronskian
@@ -161,6 +161,29 @@ def test_verify_gradients_two_mode():
     assert chk.rel_log_rho < 2.5e-3
     assert chk.rel_f < 2.5e-3
     assert chk.rel_g < 2.5e-3
+
+
+def test_verify_gradients_samples_m_once(monkeypatch):
+    # one dense table gives the 8 base pairs and m_s at the hat nodes
+    m = two_mode()
+    bundle = bundle_at(m, auxiliary_spectrum(m, count=1, steps=1024)[0])
+    tables, values = [], []
+    table, value = shooting._table, PeriodicCoefficient.smooth_value
+
+    def counted_table(*args, **kwargs):
+        tables.append(args)
+        return table(*args, **kwargs)
+
+    def counted_value(self, x):
+        values.append(x)
+        return value(self, x)
+
+    for module in (shooting, variations):
+        monkeypatch.setattr(module, "_table", counted_table)
+    monkeypatch.setattr(PeriodicCoefficient, "smooth_value", counted_value)
+    chk = verify_gradients(m, bundle, n=64, eps=1e-5)
+    assert len(tables) == 1 and len(values) == 1
+    assert chk.rel_mu < 5e-4
 
 
 def test_verify_gradients_atom_coefficient():
