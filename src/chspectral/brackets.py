@@ -6,7 +6,9 @@ products of two solutions at one spectral point, so all derivatives up to the
 third close through the differential equation itself; nothing is
 differentiated numerically.
 
-Bracket integrals run over one period on the trajectory grid.  Delta atoms in
+Bracket integrals run over one period on the trajectory grid: each is the
+dot product of the integrand with the grid's Simpson weights w, which the
+dense step table hands to its trajectories.  Delta atoms in
 the coefficient put the integrands outside this implementation's domain
 (products of distributions), so brackets reject coefficients with atoms.
 """
@@ -16,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-
-from .quadrature import grid_integral
 
 
 class BracketDomainError(ValueError):
@@ -30,7 +30,7 @@ class ProductField:
 
     lam: float
     xs: np.ndarray
-    segments: tuple
+    w: np.ndarray        # Simpson weights of the grid
     values: np.ndarray
     d1: np.ndarray
     d3: np.ndarray
@@ -49,7 +49,7 @@ class ProductField:
         d1 = ta.dpsi * tb.psi + ta.psi * tb.dpsi
         c = 0.25 - lam * np.asarray(m.smooth_value(xs), dtype=float)
         d3 = 4.0 * c * d1 - 2.0 * lam * np.asarray(m.smooth_derivative(xs), dtype=float) * w
-        return cls(lam=lam, xs=xs, segments=ta.segments, values=w, d1=d1, d3=d3)
+        return cls(lam=lam, xs=xs, w=ta.w, values=w, d1=d1, d3=d3)
 
     def scaled(self, a):
         return replace(self, values=a * self.values, d1=a * self.d1, d3=a * self.d3)
@@ -105,16 +105,14 @@ def bracket1(m, fa, fb):
     if fa.xs.shape != fb.xs.shape:
         raise ValueError("fields live on different grids")
     ms = np.asarray(m.smooth_value(fa.xs), dtype=float)
-    integrand = ms * (fa.values * fb.d1 - fa.d1 * fb.values)
-    return grid_integral(fa.xs, integrand, fa.segments)
+    return fa.w @ (ms * (fa.values * fb.d1 - fa.d1 * fb.values))
 
 
 def bracket2(fa, fb):
     """Second bracket: integral of fa K fb over one period."""
     if fa.xs.shape != fb.xs.shape:
         raise ValueError("fields live on different grids")
-    integrand = fa.values * (0.5 * (fb.d1 - fb.d3))
-    return grid_integral(fa.xs, integrand, fa.segments)
+    return fa.w @ (fa.values * (0.5 * (fb.d1 - fb.d3)))
 
 
 def log_multiplier_matrix(m, bundles):

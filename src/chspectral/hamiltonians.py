@@ -69,27 +69,26 @@ def grad_h2(m, n=256):
     return velocity_from_momentum(m, n)
 
 
-def _h3_source(m, n):
-    v, v1, v2 = _velocity_derivatives(m, n)
-    return v, 3.0 * v ** 2 - v1 ** 2 - 2.0 * v * v2
+def _h3_source(v, v1, v2):
+    return 3.0 * v ** 2 - v1 ** 2 - 2.0 * v * v2
 
 
 def grad_h3(m, n=256):
     """dH3/dm = (1 - D^2)^{-1} (3 v^2 - v'^2 - 2 v v'')."""
     _require_smooth(m, "grad_h3")
-    _, source = _h3_source(m, n)
+    source = _h3_source(*_velocity_derivatives(m, n))
     k = np.arange(n // 2 + 1)
     out = np.fft.irfft(np.fft.rfft(source) / (1.0 + (TWO_PI * k) ** 2), n)
     return GridFunction(n, out)
 
 
-def _k_of_grad_h3(m, n):
+def _k_of_grad_h3(v, v1, v2):
     # K (1 - D^2)^{-1} collapses to the single symbol (i k) / 2; applying the
     # raw k^3 growth of K to the stored grad_h3 grid would amplify roundoff
-    _, source = _h3_source(m, n)
+    n = v.size
     k = np.arange(n // 2 + 1)
     symbol = 0.5 * (1j * TWO_PI * k)
-    return np.fft.irfft(symbol * np.fft.rfft(source), n)
+    return np.fft.irfft(symbol * np.fft.rfft(_h3_source(v, v1, v2)), n)
 
 
 def bihamiltonian_residual(m, n=256):
@@ -107,7 +106,7 @@ def hamiltonian_fields(m, n=256):
     """Grids (x, J dH2/dm, K dH3/dm, difference) for reporting."""
     _require_smooth(m, "hamiltonian fields")
     x = grid_points(n)
-    v, v1, _ = _velocity_derivatives(m, n)
+    v, v1, v2 = _velocity_derivatives(m, n)
     j_side = 2.0 * m.smooth_value(x) * v1 + m.smooth_derivative(x) * v
-    k_side = _k_of_grad_h3(m, n)
+    k_side = _k_of_grad_h3(v, v1, v2)
     return x, j_side, k_side, j_side - k_side

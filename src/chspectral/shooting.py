@@ -18,8 +18,11 @@ scheme is RK4 and doubling the step count cuts its error by about 16.  The
 dense pair's table starts with a zero-length step at x = 0 (the atom there,
 if any) and the pair stores the state at the end of every row, so x = 0
 appears once and every other atom position twice (pre/post jump).  The
-Floquet property y(x+1) = rho y(x) is a statement about U(1) alone, so
-nothing here integrates past one period.
+dense table also gives the pair its integration weights: Simpson weights w
+at the row ends, stretch by stretch, and the atom weights p, so that every
+integral over the grid is a dot product with them.  The Floquet property
+y(x+1) = rho y(x) is a statement about U(1) alone, so nothing here
+integrates past one period.
 """
 
 from __future__ import annotations
@@ -62,17 +65,19 @@ class FundamentalMatrix:
 
 @dataclass(frozen=True)
 class SolutionTrajectory:
-    """Dense (psi, psi') samples along segment grids over one period [0, 1].
+    """Dense (psi, psi') samples at the row ends of the dense table over [0, 1].
 
-    xs contains each atom position twice (pre- and post-jump row); segments
-    lists inclusive index ranges (start, stop) of the uniform pieces.
+    xs contains each atom position twice (pre- and post-jump row).  The
+    integral of f over the period is w @ f (Simpson's rule, stretch by
+    stretch), and the atoms add p @ f, p being nonzero on post-jump rows only.
     """
 
     lam: float
     xs: np.ndarray
     psi: np.ndarray
     dpsi: np.ndarray
-    segments: tuple[tuple[int, int], ...]
+    w: np.ndarray
+    p: np.ndarray
 
     def combine(self, other, coeff):
         """Trajectory of self + coeff * other (same lam, same grid)."""
@@ -80,13 +85,6 @@ class SolutionTrajectory:
             raise ValueError("trajectories live on different grids or spectral points")
         return replace(self, psi=self.psi + coeff * other.psi,
                        dpsi=self.dpsi + coeff * other.dpsi)
-
-    def value_at(self, x):
-        """psi at a stored grid position (exact match required)."""
-        idx = np.nonzero(self.xs == x)[0]
-        if idx.size == 0:
-            raise ValueError(f"x={x} is not a stored grid point")
-        return float(self.psi[idx[0]])
 
 
 def _check_guard(*values):
@@ -103,14 +101,15 @@ class _Table(NamedTuple):
     one float when the rows are the steps of one stretch) and atom weight p[r]
     (0 off the atoms); m_s takes the values ms[2r : 2r + 3] at its RK4 nodes
     (ms is None when the rows are exact).  Only the dense pair's table keeps
-    the nodes, nodes[2r : 2r + 3], and the row ends, row r ending at xs[r]."""
+    the nodes, nodes[2r : 2r + 3], the row ends, row r ending at xs[r], and
+    the Simpson weights w at the row ends."""
 
     xs: np.ndarray | None
     h: np.ndarray | float
     p: np.ndarray
     nodes: np.ndarray | None
     ms: np.ndarray | None
-    segments: tuple[tuple[int, int], ...]   # inclusive xs ranges of the stretches
+    w: np.ndarray | None
 
 
 def _table(m, steps, x1=1.0, dense=False):
@@ -120,7 +119,10 @@ def _table(m, steps, x1=1.0, dense=False):
     smooth part is sampled here, once, at the RK4 nodes.
 
     Row 0, the zero-length step at x = 0, is the atom there; the dense pair's
-    table has it without one too, so that its grid holds x = 0 once.
+    table has it without one too, so that its grid holds x = 0 once.  A
+    stretch of n steps of length h after row s adds h/3 [1, 4, 2, ..., 4, 1]
+    to w[s : s + n + 1]: its first weight lands on row 0 or on the previous
+    atom's post-jump row, its last on the next atom's pre-jump row.
     """
     atoms = [(a.q, a.p) for a in m.atoms if a.q < x1 - 1e-14]
     head = [atoms.pop(0)] if atoms and atoms[0][0] == 0.0 else [(0.0, 0.0)] if dense else []
@@ -131,17 +133,17 @@ def _table(m, steps, x1=1.0, dense=False):
             h += (q - pos, 0.0)
             p += (0.0, w)
             pos = q
-        return _Table(None, np.array(h + [x1 - pos]), np.array(p + [0.0]), None, None, ())
+        return _Table(None, np.array(h + [x1 - pos]), np.array(p + [0.0]), None, None, None)
     # pieces (rows, h, p, row ends, nodes); row r's first node is row r-1's last
     pieces = [(1, 0.0, w, [0.0], [0.0, 0.0]) for _, w in head]
-    size, pos, segments = len(head), 0.0, []
+    size, pos, stretches = len(head), 0.0, []
     for q, w in atoms + [(x1, None)]:
         n = max(2, int(math.ceil(steps * (q - pos))))
         n += n % 2
         step = (q - pos) / n
         grid = pos + (q - pos) * np.arange(1, n + 1) / n if dense else ()
         pieces.append((n, step, 0.0, grid, pos + 0.5 * step * np.arange(1, 2 * n + 1)))
-        segments.append((size - 1, size - 1 + n))
+        stretches.append((size - 1, n, step))
         size += n
         if w is not None:
             pieces.append((1, 0.0, w, [q], [q, q]))
@@ -151,10 +153,12 @@ def _table(m, steps, x1=1.0, dense=False):
     # one stretch and no atom: every row has the same length, kept as one float
     h = h[0] if len(rows) == 1 else np.repeat(h, rows)
     nodes = np.concatenate(([0.0],) + nodes)
+    weights = np.zeros(size) if dense else None
+    for s, n, step in stretches if dense else ():
+        weights[s:s + n + 1] += step / 3.0 * np.r_[1.0, np.tile((4.0, 2.0), n // 2 - 1), 4.0, 1.0]
     return _Table(np.concatenate(xs) if dense else None, h, np.repeat(p, rows),
                   nodes if dense else None,
-                  None if m.smooth_is_zero else m.smooth_value(nodes),
-                  tuple(segments) if dense else ())
+                  None if m.smooth_is_zero else m.smooth_value(nodes), weights)
 
 
 # ---------------------------------------------------------------------------
@@ -254,15 +258,15 @@ def _prefix_products(e):
 def solve_fundamental(m, lam, steps=DEFAULT_STEPS):
     """Dense fundamental pair y1 (1,0) and y2 (0,1) over one period [0, 1].
 
-    Returns two SolutionTrajectory objects sharing one grid: a uniform grid per
-    segment between atoms, atom positions stored twice (pre/post jump).  The
-    state after every row of the dense step table is the prefix product of
-    the rows applied to the identity.
+    Returns two SolutionTrajectory objects sharing one grid and its weights:
+    a uniform grid per stretch between atoms, atom positions stored twice
+    (pre/post jump).  The state after every row of the dense step table is
+    the prefix product of the rows applied to the identity.
     """
     t = _table(m, steps, dense=True)
     psi, dpsi = _dense(t, lam)
-    return tuple(SolutionTrajectory(lam=lam, xs=t.xs, psi=psi[k], dpsi=dpsi[k],
-                                    segments=t.segments) for k in (0, 1))
+    return tuple(SolutionTrajectory(lam=lam, xs=t.xs, psi=psi[k], dpsi=dpsi[k], w=t.w, p=t.p)
+                 for k in (0, 1))
 
 
 @np.errstate(over="ignore", invalid="ignore")

@@ -9,8 +9,9 @@ solution y (normalised y(0) = 1, wronskian y2 y' - y2' y = -1):
 The canonically conjugate partners are f = -log|rho| / mu^2 under the first
 bracket and g = -log|rho| / mu^3 under the second; their gradients follow by
 the chain rule.  A gradient bundle is built from second_floquet's solutions
-at the point and integrates nothing itself, so it lives on the grid and step
-count the point was polished at.
+at the point, so it lives on the grid and step count the point was polished
+at.  The integrals A and B are dot products with the weights the dense table
+gives that grid: the Simpson weights w for m_s and the atom weights p.
 
 The finite-difference check takes a bundle and compares its fields with
 centered differences of hat-bump perturbations of the smooth part, at the
@@ -29,7 +30,6 @@ import numpy as np
 from numpy.polynomial import chebyshev
 
 from .brackets import ProductField
-from .quadrature import grid_integral, trajectory_integral
 from .shooting import _apply, _dense, _step_entries, _table, solve_fundamental
 
 VANISH_GUARD = 1e-12
@@ -39,12 +39,11 @@ _COMPANION_SCALE = 0.5 / np.array([math.sqrt(0.5)] + [1.0] * 6)
 
 
 def weighted_integral(m, ta, tb):
-    """integral of m psi_a psi_b over one period, delta atoms included."""
+    """integral of m psi_a psi_b over one period, delta atoms included: the
+    smooth part through the grid's Simpson weights, each atom through its
+    weight on its post-jump row, whose psi is the pre-jump psi up to rounding."""
     ms = np.asarray(m.smooth_value(ta.xs), dtype=float)
-    total = grid_integral(ta.xs, ms * ta.psi * tb.psi, ta.segments)
-    for atom in m.atoms:
-        total += atom.p * ta.value_at(atom.q) * tb.value_at(atom.q)
-    return total
+    return ta.w @ (ms * ta.psi * tb.psi) + ta.p @ (ta.psi * tb.psi)
 
 
 def norming_constant(m, t2):
@@ -64,7 +63,7 @@ def positivity_residual(m, point):
     """
     _, t2 = solve_fundamental(m, point.mu, steps=point.steps)
     lhs = point.mu * weighted_integral(m, t2, t2)
-    rhs = trajectory_integral(t2, (0.5 * t2.psi) ** 2 + t2.dpsi ** 2)
+    rhs = t2.w @ ((0.5 * t2.psi) ** 2 + t2.dpsi ** 2)
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs))
 
 
@@ -157,24 +156,16 @@ class GradientCheck:
         return self._rel(self.analytic_g, self.fd_g)
 
 
-def _field_at_sites(field, xs_query):
-    if len(field.segments) == 1:
-        steps = len(field.xs) - 1
-        pos = steps * xs_query
-        idx = np.rint(pos).astype(int)
-        if np.max(np.abs(pos - idx)) < 1e-9:
-            return field.values[idx]
-    return np.interp(xs_query, field.xs, field.values)
+def _fields_at(bundle, xs):
+    """The four gradient fields at xs; np.interp returns a grid node's value exactly."""
+    return [np.interp(xs, f.xs, f.values)
+            for f in (bundle.grad_mu, bundle.grad_log_rho, bundle.grad_f, bundle.grad_g)]
 
 
 def gradient_table(bundle, n):
     """All four analytic gradient fields sampled at the n uniform sites."""
     xs = np.arange(n) / n
-    return (xs,
-            _field_at_sites(bundle.grad_mu, xs),
-            _field_at_sites(bundle.grad_log_rho, xs),
-            _field_at_sites(bundle.grad_f, xs),
-            _field_at_sites(bundle.grad_g, xs))
+    return (xs, *_fields_at(bundle, xs))
 
 
 def _times(u, col):
@@ -274,9 +265,7 @@ def verify_gradients(m, bundle, n=256, eps=1e-5, sites=None):
     fd_f = (-log_p / mu_p ** 2 + log_m / mu_m ** 2) / (2.0 * eps)
     fd_g = (-log_p / mu_p ** 3 + log_m / mu_m ** 3) / (2.0 * eps)
 
-    return GradientCheck(
-        n=n, eps=eps, sites=sites,
-        analytic_mu=_field_at_sites(bundle.grad_mu, xq), fd_mu=fd_mu,
-        analytic_log_rho=_field_at_sites(bundle.grad_log_rho, xq), fd_log_rho=fd_log,
-        analytic_f=_field_at_sites(bundle.grad_f, xq), fd_f=fd_f,
-        analytic_g=_field_at_sites(bundle.grad_g, xq), fd_g=fd_g, bundle=bundle)
+    a_mu, a_log, a_f, a_g = _fields_at(bundle, xq)
+    return GradientCheck(n=n, eps=eps, sites=sites, analytic_mu=a_mu, fd_mu=fd_mu,
+                         analytic_log_rho=a_log, fd_log_rho=fd_log, analytic_f=a_f,
+                         fd_f=fd_f, analytic_g=a_g, fd_g=fd_g, bundle=bundle)

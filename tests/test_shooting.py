@@ -164,7 +164,10 @@ def test_trajectory_atom_rows():
     i, j = hits
     assert t1.psi[i] == pytest.approx(t1.psi[j], abs=1e-15)
     assert t1.dpsi[j] - t1.dpsi[i] == pytest.approx(-lam * 1.0 * t1.psi[i], abs=1e-13)
-    assert len(t1.segments) == 2
+    # both rows close a stretch, so both carry Simpson weight; the delta mass
+    # sits on the post-jump row alone
+    assert t1.w[i] > 0.0 and t1.w[j] > 0.0
+    assert np.nonzero(t1.p)[0].tolist() == [j] and t1.p[j] == 1.0
 
 
 def test_one_period_trajectory():
@@ -316,3 +319,28 @@ def test_det_one_at_large_lambda():
     # 4096 steps at lambda = 1e4, 1.3e-11 over 16384
     m = make_coefficient(REFERENCE_MEMBERS["mixed"])
     assert abs(fundamental_matrix(m, 1e4, steps=16384).det - 1.0) <= 1e-10
+
+
+WEIGHT_MEMBERS = dict(REFERENCE_MEMBERS, grid_end_off_atom={
+    "smooth": {"kind": "fourier", "a0": 1.0, "cos": [0.3]},
+    "atoms": [{"q": 0.03, "p": 0.5}, {"q": 0.3, "p": 0.4}]})
+
+
+@pytest.mark.parametrize("steps", [256, 1000, 4096])
+@pytest.mark.parametrize("name", sorted(WEIGHT_MEMBERS))
+def test_dense_pair_integration_weights(name, steps):
+    # Simpson's rule is exact for cubics on every stretch, so the weights
+    # integrate 1 and x^3 over [0, 1] to rounding
+    m = make_coefficient(WEIGHT_MEMBERS[name])
+    t, _ = solve_fundamental(m, 1.0, steps=steps)
+    assert abs(t.w.sum() - 1.0) <= 4e-16
+    assert abs(t.w @ t.xs ** 3 - 0.25) <= 1e-15
+    # p is nonzero on the atoms' rows alone, one row each, in order
+    post = np.nonzero(t.p)[0]
+    assert t.p[post].tolist() == [atom.p for atom in m.atoms]
+    assert t.xs[post].tolist() == [atom.q for atom in m.atoms]
+    # x = 0 is stored once; any other atom closes a stretch whose last row,
+    # its pre-jump row, ends at q up to rounding, and both rows carry weight
+    pre = post[post > 0] - 1
+    np.testing.assert_allclose(t.xs[pre], t.xs[post[post > 0]], rtol=0, atol=1e-15)
+    assert np.all(t.w[post] > 0.0) and np.all(t.w[pre] > 0.0)

@@ -90,6 +90,20 @@ def test_hamiltonian_suite_rows_and_strict_atoms():
     assert not strict.passed
 
 
+def test_hamiltonian_suite_skips_samples_members():
+    # the Fourier symbols are exact only for band-limited m; a spline's
+    # O(n^-2) tail would fail the 1e-6 tolerance at n = 256
+    spline = CorpusMember("spline", make_coefficient(
+        {"smooth": {"kind": "samples", "values": [1.2, 1.1, 0.9, 0.8, 0.9, 1.1]}}))
+    report = suite_hamiltonian([member("two_mode"), spline])
+    assert report.passed and len(report.residuals) == 1
+    assert list(report.tables) == ["hamiltonian_two_mode"]
+    assert report.notes[0].startswith("spline: a spline is not band-limited")
+    strict = suite_hamiltonian([spline], strict=True)
+    assert not strict.passed and strict.residuals == [] and strict.tolerance == 1e-6
+    assert strict.notes == report.notes
+
+
 def test_run_suite_dispatch_and_all_order():
     names = [name for name, _ in
              run_suite("all", members=[member("peakon_centered")], strict=False)]
