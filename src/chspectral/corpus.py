@@ -29,10 +29,5 @@ class CorpusMember:
     m: PeriodicCoefficient
 
 
-def corpus_specs():
-    """Name -> JSON-ready coefficient spec for each stock member."""
-    return {name: spec for name, spec in _SPECS}
-
-
 def default_corpus():
     return [CorpusMember(name, make_coefficient(spec)) for name, spec in _SPECS]

@@ -9,6 +9,11 @@ and the two gradients are tied together by J dH2/dm = K dH3/dm.  All spatial
 operators act through Fourier symbols on a power-of-two grid, so smooth
 band-limited coefficients are handled exactly up to roundoff.  Delta atoms
 kink the velocity and are outside this module's domain.
+
+h3, grad_h2 and grad_h3 have no caller in the package: hamiltonian_fields
+reaches K dH3/dm through _h3_source in one symbol.  They stay as the tests'
+finite-difference oracles: differences of h3 check grad_h3, and through it
+_h3_source, and differences of h2 check dH2/dm = v, the input of J.
 """
 
 from __future__ import annotations

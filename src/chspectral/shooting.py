@@ -20,9 +20,10 @@ if any) and the pair stores the state at the end of every row, so x = 0
 appears once and every other atom position twice (pre/post jump).  The
 dense table also gives the pair its integration weights: Simpson weights w
 at the row ends, stretch by stretch, and the atom weights p, so that every
-integral over the grid is a dot product with them.  The Floquet property
-y(x+1) = rho y(x) is a statement about U(1) alone, so nothing here
-integrates past one period.
+integral over the grid is a dot product with them.  The pair also carries
+m_s and m_s' at its row ends, sampled once per pair, so no other module
+samples m on its grid.  The Floquet property y(x+1) = rho y(x) is a
+statement about U(1) alone, so nothing here integrates past one period.
 """
 
 from __future__ import annotations
@@ -78,6 +79,8 @@ class SolutionTrajectory:
     dpsi: np.ndarray
     w: np.ndarray
     p: np.ndarray
+    ms: np.ndarray       # m_s and m_s' at xs
+    dms: np.ndarray
 
     def combine(self, other, coeff):
         """Trajectory of self + coeff * other (same lam, same grid)."""
@@ -258,15 +261,16 @@ def _prefix_products(e):
 def solve_fundamental(m, lam, steps=DEFAULT_STEPS):
     """Dense fundamental pair y1 (1,0) and y2 (0,1) over one period [0, 1].
 
-    Returns two SolutionTrajectory objects sharing one grid and its weights:
-    a uniform grid per stretch between atoms, atom positions stored twice
-    (pre/post jump).  The state after every row of the dense step table is
-    the prefix product of the rows applied to the identity.
+    Returns two SolutionTrajectory objects sharing one grid, its weights and
+    m_s, m_s' on it: a uniform grid per stretch between atoms, atom positions
+    stored twice (pre/post jump).  The state after every row of the dense
+    step table is the prefix product of the rows applied to the identity.
     """
     t = _table(m, steps, dense=True)
     psi, dpsi = _dense(t, lam)
-    return tuple(SolutionTrajectory(lam=lam, xs=t.xs, psi=psi[k], dpsi=dpsi[k], w=t.w, p=t.p)
-                 for k in (0, 1))
+    ms, dms = m.smooth_value(t.xs), m.smooth_derivative(t.xs)
+    return tuple(SolutionTrajectory(lam=lam, xs=t.xs, psi=psi[k], dpsi=dpsi[k], w=t.w, p=t.p,
+                                    ms=ms, dms=dms) for k in (0, 1))
 
 
 @np.errstate(over="ignore", invalid="ignore")

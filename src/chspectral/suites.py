@@ -66,7 +66,7 @@ class _Point:
     @functools.cached_property
     def bundle(self):
         """The gradient bundle built from floquet (read only off Jordan blocks)."""
-        return gradient_bundle(self.m, self.point, self.floquet)
+        return gradient_bundle(self.point, self.floquet)
 
 
 def _records(m, count, steps):
@@ -119,9 +119,8 @@ def suite_lemma(members=None, count=3, steps=DEFAULT_STEPS, tol=1e-7, strict=Fal
                 trajs.append(("y", rec.floquet[2]))
             for i in range(len(trajs)):
                 for j in range(i, len(trajs)):
-                    field = ProductField.from_trajectories(
-                        member.m, trajs[i][1], trajs[j][1])
-                    res, kmax = lemma_residual(member.m, field)
+                    field = ProductField.from_trajectories(trajs[i][1], trajs[j][1])
+                    res, kmax = lemma_residual(field)
                     ok = res <= tol * max(kmax, 1.0)
                     report.add_case([res, kmax], ok,
                                     f"{member.name}: mu_{rec.point.index} "
@@ -176,11 +175,11 @@ def _theorem_suite(identity, which, members, count, steps, tol, strict, points):
             continue
         bundles = [rec.bundle for rec in spectrum()]
         mus = [b.point.mu for b in bundles]
-        mat = conjugacy_matrix(member.m, bundles=bundles, which=which)
+        mat = conjugacy_matrix(bundles, which=which)
         row = _scaled_block_deviations(mat, mus)
         if which == "first":
             # {mu_i, log|rho_j|} = -mu_i^2 delta_ij, row i scaled by max(1, mu_i^2)
-            inter = np.abs(log_multiplier_matrix(member.m, bundles)
+            inter = np.abs(log_multiplier_matrix(bundles)
                            - np.diag([-mu * mu for mu in mus]))
             for i, mu in enumerate(mus):
                 inter[i, :] /= max(1.0, mu * mu)

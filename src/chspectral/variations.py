@@ -10,8 +10,9 @@ The canonically conjugate partners are f = -log|rho| / mu^2 under the first
 bracket and g = -log|rho| / mu^3 under the second; their gradients follow by
 the chain rule.  A gradient bundle is built from second_floquet's solutions
 at the point, so it lives on the grid and step count the point was polished
-at.  The integrals A and B are dot products with the weights the dense table
-gives that grid: the Simpson weights w for m_s and the atom weights p.
+at.  The integrals A and B are dot products with what the dense pair carries
+on that grid: m_s and the Simpson weights w for the smooth part, the atom
+weights p for the atoms; nothing here samples m on it.
 
 The finite-difference check takes a bundle and compares its fields with
 centered differences of hat-bump perturbations of the smooth part, at the
@@ -38,17 +39,16 @@ _COMPANION = chebyshev.chebcompanion(np.eye(8)[7])  # chebroots' degree-7 band
 _COMPANION_SCALE = 0.5 / np.array([math.sqrt(0.5)] + [1.0] * 6)
 
 
-def weighted_integral(m, ta, tb):
+def weighted_integral(ta, tb):
     """integral of m psi_a psi_b over one period, delta atoms included: the
-    smooth part through the grid's Simpson weights, each atom through its
-    weight on its post-jump row, whose psi is the pre-jump psi up to rounding."""
-    ms = np.asarray(m.smooth_value(ta.xs), dtype=float)
-    return ta.w @ (ms * ta.psi * tb.psi) + ta.p @ (ta.psi * tb.psi)
+    smooth part through m_s and the grid's Simpson weights, each atom through
+    its weight on its post-jump row, whose psi is the pre-jump psi up to rounding."""
+    return ta.w @ (ta.ms * ta.psi * tb.psi) + ta.p @ (ta.psi * tb.psi)
 
 
-def norming_constant(m, t2):
+def norming_constant(t2):
     """A = 1 / integral(m y2^2), guarded against a vanishing denominator."""
-    denom = weighted_integral(m, t2, t2)
+    denom = weighted_integral(t2, t2)
     scale = max(1.0, float(np.max(t2.psi ** 2)))
     if abs(denom) <= VANISH_GUARD * scale:
         raise RuntimeError("norming integral of m y2^2 vanished; gradient undefined")
@@ -62,7 +62,7 @@ def positivity_residual(m, point):
     the sign of A and hence of the mu gradient.
     """
     _, t2 = solve_fundamental(m, point.mu, steps=point.steps)
-    lhs = point.mu * weighted_integral(m, t2, t2)
+    lhs = point.mu * weighted_integral(t2, t2)
     rhs = t2.w @ ((0.5 * t2.psi) ** 2 + t2.dpsi ** 2)
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs))
 
@@ -86,7 +86,7 @@ class SpectralGradient:
     grad_g: ProductField
 
 
-def gradient_bundle(m, point, solutions):
+def gradient_bundle(point, solutions):
     """All gradient data at one auxiliary point, from solutions =
     second_floquet(m, point).
 
@@ -95,11 +95,11 @@ def gradient_bundle(m, point, solutions):
     multiplier is still differentiable and log|rho| is taken as exactly zero.
     """
     _, t2, y, b = solutions
-    a = norming_constant(m, t2)
-    bb = weighted_integral(m, t2, y)
+    a = norming_constant(t2)
+    bb = weighted_integral(t2, y)
     mu = point.mu
-    pf22 = ProductField.from_trajectories(m, t2, t2)
-    pf2y = ProductField.from_trajectories(m, t2, y)
+    pf22 = ProductField.from_trajectories(t2, t2)
+    pf2y = ProductField.from_trajectories(t2, y)
     grad_mu = pf22.scaled(-a * mu)
     grad_log_rho = pf22.scaled(a * bb * mu).plus(pf2y, -mu)
     log_rho = 0.0 if point.degenerate else math.log(abs(point.rho))

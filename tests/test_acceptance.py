@@ -119,9 +119,9 @@ def test_08_second_bracket_conjugacy():
 
 def _conjugacy_deviation(m, points, steps, which):
     pts = [refine_point(m, p, steps) for p in points]
-    bundles = [gradient_bundle(m, p, second_floquet(m, p)) for p in pts]
+    bundles = [gradient_bundle(p, second_floquet(m, p)) for p in pts]
     mus = [p.mu for p in pts]
-    mat = conjugacy_matrix(m, bundles=bundles, which=which)
+    mat = conjugacy_matrix(bundles, which=which)
     dev = np.abs(mat - conjugacy_target(len(mus)))
     for i in range(len(mus) * 2):
         for j in range(len(mus) * 2):
@@ -137,7 +137,7 @@ def _lemma_deviation(m, points, steps):
         t1, t2, y, _ = second_floquet(m, pt)
         for ta in (t1, t2, y):
             for tb in (t1, t2, y):
-                res, scale = lemma_residual(m, ProductField.from_trajectories(m, ta, tb))
+                res, scale = lemma_residual(ProductField.from_trajectories(ta, tb))
                 worst = max(worst, res / max(scale, 1.0))
     return worst
 

@@ -34,7 +34,7 @@ def two_mode():
 
 
 def bundles_at(m, pts):
-    return [gradient_bundle(m, p, second_floquet(m, p)) for p in pts]
+    return [gradient_bundle(p, second_floquet(m, p)) for p in pts]
 
 
 def test_product_field_closed_derivatives():
@@ -42,7 +42,7 @@ def test_product_field_closed_derivatives():
     m = const_m(1.0)
     mu = 0.25 + math.pi ** 2
     _, t2 = solve_fundamental(m, mu, steps=512)
-    f = ProductField.from_trajectories(m, t2, t2)
+    f = ProductField.from_trajectories(t2, t2)
     xs = f.xs
     w = np.sin(math.pi * xs) ** 2 / math.pi ** 2
     np.testing.assert_allclose(f.values, w, atol=1e-10)
@@ -70,14 +70,14 @@ def test_closure_residual_small():
     pt = auxiliary_spectrum(m, count=1, steps=512)[0]
     t1, t2 = solve_fundamental(m, pt.mu, steps=512)
     for ta, tb in ((t2, t2), (t1, t2)):
-        f = ProductField.from_trajectories(m, ta, tb)
+        f = ProductField.from_trajectories(ta, tb)
         assert difference_residual(f) < 1e-4  # finite differences are only O(h^2)
 
 
 def test_field_arithmetic():
     m = const_m(1.0)
     _, t2 = solve_fundamental(m, 7.0, steps=128)
-    f = ProductField.from_trajectories(m, t2, t2)
+    f = ProductField.from_trajectories(t2, t2)
     g = f.scaled(2.0).plus(f, -2.0)
     assert np.all(g.values == 0.0) and np.all(g.d3 == 0.0)
 
@@ -89,8 +89,8 @@ def test_lemma_residual_is_roundoff():
     pt = auxiliary_spectrum(m, count=1)[0]
     t1, t2 = solve_fundamental(m, pt.mu, steps=1024)
     for ta, tb in ((t1, t1), (t1, t2), (t2, t2)):
-        f = ProductField.from_trajectories(m, ta, tb)
-        res, kmax = lemma_residual(m, f)
+        f = ProductField.from_trajectories(ta, tb)
+        res, kmax = lemma_residual(f)
         assert kmax > 0.0
         assert res <= 1e-12 * kmax
 
@@ -100,33 +100,47 @@ def test_apply_j_apply_k_constant_coefficient():
     m = const_m(1.0)
     mu = 0.25 + math.pi ** 2
     _, t2 = solve_fundamental(m, mu, steps=512)
-    f = ProductField.from_trajectories(m, t2, t2)
-    np.testing.assert_allclose(apply_j(m, f), 2.0 * f.d1, atol=1e-12)
+    f = ProductField.from_trajectories(t2, t2)
+    np.testing.assert_allclose(apply_j(f), 2.0 * f.d1, atol=1e-12)
     want_k = 0.5 * (np.sin(2 * math.pi * f.xs) / math.pi
                     + 4 * math.pi * np.sin(2 * math.pi * f.xs))
     np.testing.assert_allclose(apply_k(f), want_k, atol=1e-7)
 
 
 def test_atoms_rejected():
-    m = make_coefficient({"smooth": {"kind": "const", "value": 0.0},
-                          "atoms": [{"q": 0.3, "p": 1.0}]})
-    pt = auxiliary_spectrum(m, lam_max=20.0)[0]
-    _, t2 = solve_fundamental(m, pt.mu, steps=512)
-    f = ProductField.from_trajectories(m, t2, t2)
-    with pytest.raises(BracketDomainError):
-        apply_j(m, f)
-    with pytest.raises(BracketDomainError):
-        lemma_residual(m, f)
-    with pytest.raises(BracketDomainError):
-        bracket1(m, f, f)
+    # a field carries its grid's atom weights, and any nonzero one is rejected:
+    # a peakon, an atom at x = 0 beside a smooth part, a negative weight
+    for spec in ({"smooth": {"kind": "const", "value": 0.0}, "atoms": [{"q": 0.3, "p": 1.0}]},
+                 {"smooth": {"kind": "fourier", "a0": 1.0, "cos": [0.3]},
+                  "atoms": [{"q": 0.0, "p": 0.5}, {"q": 0.999, "p": 0.4}]},
+                 {"smooth": {"kind": "const", "value": 1.0}, "atoms": [{"q": 0.5, "p": -0.2}]}):
+        m = make_coefficient(spec)
+        pt = auxiliary_spectrum(m, lam_max=20.0)[0]
+        _, t2 = solve_fundamental(m, pt.mu, steps=512)
+        f = ProductField.from_trajectories(t2, t2)
+        with pytest.raises(BracketDomainError):
+            apply_j(f)
+        with pytest.raises(BracketDomainError):
+            lemma_residual(f)
+        with pytest.raises(BracketDomainError):
+            bracket1(f, f)
+    # an atom of weight 0 has no mass: the field is smooth and goes through
+    m = make_coefficient({"smooth": {"kind": "const", "value": 1.0},
+                          "atoms": [{"q": 0.3, "p": 0.0}]})
+    _, t2 = solve_fundamental(m, 0.25 + math.pi ** 2, steps=512)
+    f = ProductField.from_trajectories(t2, t2)
+    np.testing.assert_allclose(apply_j(f), 2.0 * f.d1, atol=1e-12)
+    res, kmax = lemma_residual(f)
+    assert res <= 1e-12 * kmax
+    assert bracket1(f, f) == 0.0
 
 
 def test_bracket1_antisymmetric():
     m = two_mode()
     pts = auxiliary_spectrum(m, count=2)
     ba, bb = bundles_at(m, pts)
-    lhs = bracket1(m, ba.grad_mu, bb.grad_log_rho)
-    rhs = bracket1(m, bb.grad_log_rho, ba.grad_mu)
+    lhs = bracket1(ba.grad_mu, bb.grad_log_rho)
+    rhs = bracket1(bb.grad_log_rho, ba.grad_mu)
     assert lhs == pytest.approx(-rhs, rel=1e-14, abs=1e-14)
 
 
@@ -151,7 +165,7 @@ def test_bracket2_is_spectral_multiple_of_bracket1():
     for fa in (ba.grad_mu, ba.grad_log_rho):
         for fb in (bb.grad_mu, bb.grad_log_rho):
             v2 = bracket2(fa, fb)
-            v1 = bracket1(m, fa, fb)
+            v1 = bracket1(fa, fb)
             assert abs(v2 - pts[1].mu * v1) <= 1e-7 * scale
 
 
@@ -160,7 +174,7 @@ def test_log_multiplier_matrix_constant_coefficient():
     m = const_m(1.0)
     pts = auxiliary_spectrum(m, count=2)
     bundles = bundles_at(m, pts)
-    mat = log_multiplier_matrix(m, bundles)
+    mat = log_multiplier_matrix(bundles)
     want = np.diag([-p.mu ** 2 for p in pts])
     for i in range(2):
         for j in range(2):
@@ -173,7 +187,7 @@ def test_conjugacy_matrix_constant_coefficient():
     m = const_m(1.0)
     pts = auxiliary_spectrum(m, count=2)
     bundles = bundles_at(m, pts)
-    mat = conjugacy_matrix(m, bundles=bundles, which="first")
+    mat = conjugacy_matrix(bundles, which="first")
     want = conjugacy_target(2)
     mus = [p.mu for p in pts] * 2
     for i in range(4):
@@ -186,7 +200,7 @@ def test_conjugacy_matrix_second_bracket():
     m = const_m(1.0)
     pts = auxiliary_spectrum(m, count=2)
     bundles = bundles_at(m, pts)
-    mat = conjugacy_matrix(m, bundles=bundles, which="second")
+    mat = conjugacy_matrix(bundles, which="second")
     want = conjugacy_target(2)
     mus = [p.mu for p in pts] * 2
     for i in range(4):
@@ -197,7 +211,7 @@ def test_conjugacy_matrix_second_bracket():
 
 def test_conjugacy_matrix_rejects_unknown_bracket():
     with pytest.raises(ValueError):
-        conjugacy_matrix(const_m(1.0), which="third")
+        conjugacy_matrix([], which="third")
 
 
 def test_conjugacy_target_layout():

@@ -9,7 +9,7 @@ import pytest
 import chspectral
 from chspectral import suites
 from chspectral.cli import entry
-from chspectral.corpus import corpus_specs
+from chspectral.corpus import default_corpus
 
 
 def write_config(tmp_path, spec, name="m.json"):
@@ -21,6 +21,7 @@ def write_config(tmp_path, spec, name="m.json"):
 CONST = {"smooth": {"kind": "const", "value": 1.0}}
 PEAKON = {"atoms": [{"q": 0.3, "p": 1.0}]}
 CENTERED = {"atoms": [{"q": 0.5, "p": 1.0}]}
+TWO_MODE = next(mb.m for mb in default_corpus() if mb.name == "two_mode").spec()
 
 
 def test_discriminant_csv_values(tmp_path):
@@ -118,7 +119,7 @@ def test_spectrum_negative_window_lists_points_below_zero(tmp_path):
 
 def test_spectrum_lambda_min_zero_gives_the_default_rows(tmp_path):
     # the brackets then start at 0, not at 1e-6: values move by rounding only
-    cfg = write_config(tmp_path, corpus_specs()["two_mode"])
+    cfg = write_config(tmp_path, TWO_MODE)
     rows = spectrum_rows(tmp_path, cfg, "--lambda-min=0")
     default = spectrum_rows(tmp_path, cfg)
     assert [(r[0], r[1], r[4]) for r in rows] == [(r[0], r[1], r[4]) for r in default]
@@ -130,7 +131,7 @@ def test_spectrum_lambda_min_zero_gives_the_default_rows(tmp_path):
 def test_spectrum_edge_index_ranks_within_the_window(tmp_path):
     # an edge row's index is its rank among the window's edges of its kind;
     # an aux row's index is its Sturm index, whatever the window
-    cfg = write_config(tmp_path, corpus_specs()["two_mode"])
+    cfg = write_config(tmp_path, TWO_MODE)
     full = spectrum_rows(tmp_path, cfg, "--lambda-max", "200")
     upper = spectrum_rows(tmp_path, cfg, "--lambda-min", "100", "--lambda-max", "200")
     for rows, index in ((full, "4"), (upper, "1")):

@@ -344,3 +344,28 @@ def test_dense_pair_integration_weights(name, steps):
     pre = post[post > 0] - 1
     np.testing.assert_allclose(t.xs[pre], t.xs[post[post > 0]], rtol=0, atol=1e-15)
     assert np.all(t.w[post] > 0.0) and np.all(t.w[pre] > 0.0)
+
+
+# the spline samples two_mode at 16 points (the CI rerun loop's two_mode16.json)
+SAMPLED_MEMBERS = {
+    "const": {"smooth": {"kind": "const", "value": 1.0}},
+    "two_mode": REFERENCE_MEMBERS["two_mode"],
+    "two_mode16": {"smooth": {"kind": "samples", "values": [
+        1.25, 1.301680561246, 1.276776695297, 1.16638153621, 1.0, 0.83361846379,
+        0.723223304703, 0.698319438754, 0.75, 0.839740794991, 0.923223304703,
+        0.975039820027, 1.0, 1.024960179973, 1.076776695297, 1.160259205009]}},
+    "atom_at_zero": REFERENCE_MEMBERS["atom_at_zero"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLED_MEMBERS))
+def test_dense_pair_carries_m_on_its_grid(name):
+    # m_s and m_s' at the row ends, the atoms' repeated rows included, are
+    # what sampling m on the grid gives, bit for bit, shared by the pair
+    m = make_coefficient(SAMPLED_MEMBERS[name])
+    t1, t2 = solve_fundamental(m, 39.4, steps=1000)
+    assert np.array_equal(t1.ms, m.smooth_value(t1.xs))
+    assert np.array_equal(t1.dms, m.smooth_derivative(t1.xs))
+    assert t2.ms is t1.ms and t2.dms is t1.dms
+    y = t1.combine(t2, 0.5)
+    assert y.ms is t1.ms and y.dms is t1.dms

@@ -1,8 +1,11 @@
+import collections
+import sys
+
 import pytest
 
 from chspectral import floquet, shooting, suites, variations
-from chspectral.coefficient import make_coefficient
-from chspectral.corpus import CorpusMember, corpus_specs, default_corpus
+from chspectral.coefficient import PeriodicCoefficient, make_coefficient
+from chspectral.corpus import CorpusMember, default_corpus
 from chspectral.suites import (
     SUITE_NAMES,
     run_suite,
@@ -15,7 +18,7 @@ from chspectral.suites import (
 
 
 def member(name):
-    return CorpusMember(name, make_coefficient(corpus_specs()[name]))
+    return next(mb for mb in default_corpus() if mb.name == name)
 
 
 def test_corpus_has_expected_members():
@@ -155,8 +158,9 @@ def test_run_suite_builds_each_point_once(monkeypatch):
     bundles = count_calls(monkeypatch, mods[1:], "gradient_bundle")
     pairs = count_calls(monkeypatch, [shooting, variations], "_dense")
     run_suite("all")
-    for calls, most in ((floquets, 10), (bundles, 8)):
-        mus = [args[1].mu for args in calls]
+    # second_floquet(m, point) and gradient_bundle(point, solutions)
+    for calls, k, most in ((floquets, 1, 10), (bundles, 0, 8)):
+        mus = [args[k].mu for args in calls]
         assert len(set(mus)) == len(mus) <= most
     # one dense pair per point, and 8 Chebyshev nodes per gradient check
     # (two_mode and peakon_offset)
@@ -164,6 +168,27 @@ def test_run_suite_builds_each_point_once(monkeypatch):
     bundles.clear()
     run_suite("lemma")
     assert bundles == []
+
+
+def test_strict_suites_read_m_from_the_dense_pairs(monkeypatch):
+    # the dense pair carries m_s and m_s' on its grid, so only shooting
+    # samples the coefficient; brackets, variations and the suites read it
+    callers = []
+    for name in ("smooth_value", "smooth_derivative"):
+        real = getattr(PeriodicCoefficient, name)
+
+        def spied(self, x, real=real):
+            callers.append(sys._getframe(1).f_globals["__name__"])
+            return real(self, x)
+
+        monkeypatch.setattr(PeriodicCoefficient, name, spied)
+    for suite in ("lemma", "gradients", "theorem1", "theorem2"):
+        [(_, report)] = run_suite(suite, members=[member("two_mode")], strict=True)
+        assert report.passed
+    assert "chspectral.shooting" in callers
+    outside = [c for c in callers if c in {"chspectral.brackets", "chspectral.variations",
+                                           "chspectral.suites"}]
+    assert outside == [], collections.Counter(outside)
 
 
 def test_report_schema_keys():
