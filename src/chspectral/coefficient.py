@@ -253,6 +253,10 @@ def make_coefficient(spec):
         p = _as_float(entry["p"], "atom weight p")
         if not 0.0 <= q < 1.0:
             raise CoefficientError(f"atom position q={q} outside [0, 1)")
+        if q >= 1.0 - 1e-14:
+            # the step tables leave out atoms this close to the period's end
+            raise CoefficientError(f"atom position q={q} is within 1e-14 of the period end "
+                                   "x = 1; put the atom at q = 0")
         atoms.append(Atom(q=q, p=p))
     atoms.sort(key=lambda a: a.q)
     for left, right in zip(atoms, atoms[1:]):

@@ -20,14 +20,21 @@ if any) and the pair stores the state at the end of every row, so x = 0
 appears once and every other atom position twice (pre/post jump).  The
 dense table also gives the pair its integration weights: Simpson weights w
 at the row ends, stretch by stretch, and the atom weights p, so that every
-integral over the grid is a dot product with them.  The pair also carries
-m_s and m_s' at its row ends, sampled once per pair, so no other module
-samples m on its grid.  The Floquet property y(x+1) = rho y(x) is a
-statement about U(1) alone, so nothing here integrates past one period.
+integral over the grid is a dot product with them.  It samples m_s and m_s'
+at its row ends too, once, when it is built, and the pair carries them, so
+no other module samples m on its grid.
+
+A table is built once per (m, steps, x1, dense) per process, however a
+caller spells the defaults, and kept read-only in a small LRU memo keyed by
+the coefficient object (a coefficient loaded afresh builds its own): every
+operation on the same m shares it and its one sampling of m.  The
+Floquet property y(x+1) = rho y(x) is a statement about U(1) alone, so
+nothing here integrates past one period.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
@@ -38,6 +45,9 @@ DEFAULT_STEPS = 4096
 BLOWUP_GUARD = 1e300
 # up to this many rows a Python fold beats numpy's fixed cost per call
 _FOLD_ROWS = 128
+# step tables memoised per process: an op reads at most a plain and a dense
+# table per coefficient; at 4096 steps they hold 0.1 and 0.33 MB
+_TABLES_KEPT = 4
 
 
 class BlowUpError(RuntimeError):
@@ -105,7 +115,8 @@ class _Table(NamedTuple):
     (0 off the atoms); m_s takes the values ms[2r : 2r + 3] at its RK4 nodes
     (ms is None when the rows are exact).  Only the dense pair's table keeps
     the nodes, nodes[2r : 2r + 3], the row ends, row r ending at xs[r], and
-    the Simpson weights w at the row ends."""
+    at the row ends the Simpson weights w and m_s, m_s' (mx, dmx).  Every
+    array is read-only."""
 
     xs: np.ndarray | None
     h: np.ndarray | float
@@ -113,13 +124,23 @@ class _Table(NamedTuple):
     nodes: np.ndarray | None
     ms: np.ndarray | None
     w: np.ndarray | None
+    mx: np.ndarray | None
+    dmx: np.ndarray | None
 
 
 def _table(m, steps, x1=1.0, dense=False):
-    """The step table of m over [0, x1] at `steps` RK4 steps per unit length
-    (at least two per stretch, and even, so that Simpson's rule applies
-    stretch by stretch); atoms at or above x1 - 1e-14 are left out.  The
-    smooth part is sampled here, once, at the RK4 nodes.
+    """The step table of m over [0, x1] at `steps` RK4 steps per unit length,
+    the dense pair's with dense=True: one memo entry per table, however a
+    caller spells the defaults."""
+    return _built_table(m, steps, x1, dense)
+
+
+@functools.lru_cache(maxsize=_TABLES_KEPT)
+def _built_table(m, steps, x1, dense):
+    """Build _table(m, steps, x1, dense): at least two RK4 steps per stretch,
+    and an even count, so that Simpson's rule applies stretch by stretch;
+    atoms at or above x1 - 1e-14 are left out.  The smooth part is sampled
+    here, once, at the RK4 nodes and, for the dense pair, at the row ends.
 
     Row 0, the zero-length step at x = 0, is the atom there; the dense pair's
     table has it without one too, so that its grid holds x = 0 once.  A
@@ -136,7 +157,8 @@ def _table(m, steps, x1=1.0, dense=False):
             h += (q - pos, 0.0)
             p += (0.0, w)
             pos = q
-        return _Table(None, np.array(h + [x1 - pos]), np.array(p + [0.0]), None, None, None)
+        return _frozen(_Table(None, np.array(h + [x1 - pos]), np.array(p + [0.0]),
+                              None, None, None, None, None))
     # pieces (rows, h, p, row ends, nodes); row r's first node is row r-1's last
     pieces = [(1, 0.0, w, [0.0], [0.0, 0.0]) for _, w in head]
     size, pos, stretches = len(head), 0.0, []
@@ -156,12 +178,25 @@ def _table(m, steps, x1=1.0, dense=False):
     # one stretch and no atom: every row has the same length, kept as one float
     h = h[0] if len(rows) == 1 else np.repeat(h, rows)
     nodes = np.concatenate(([0.0],) + nodes)
-    weights = np.zeros(size) if dense else None
-    for s, n, step in stretches if dense else ():
+    if not dense:
+        ms = None if m.smooth_is_zero else m.smooth_value(nodes)
+        return _frozen(_Table(None, h, np.repeat(p, rows), None, ms, None, None, None))
+    xs = np.concatenate(xs)
+    # one sampling of m_s: the nodes, then the row ends
+    ms, mx = np.split(m.smooth_value(np.concatenate((nodes, xs))), [nodes.size])
+    weights = np.zeros(size)
+    for s, n, step in stretches:
         weights[s:s + n + 1] += step / 3.0 * np.r_[1.0, np.tile((4.0, 2.0), n // 2 - 1), 4.0, 1.0]
-    return _Table(np.concatenate(xs) if dense else None, h, np.repeat(p, rows),
-                  nodes if dense else None,
-                  None if m.smooth_is_zero else m.smooth_value(nodes), weights)
+    return _frozen(_Table(xs, h, np.repeat(p, rows), nodes, None if m.smooth_is_zero else ms,
+                          weights, mx, m.smooth_derivative(xs)))
+
+
+def _frozen(t):
+    """t with every array read-only, as the memo shares it."""
+    for a in t:
+        if isinstance(a, np.ndarray):
+            a.setflags(write=False)
+    return t
 
 
 # ---------------------------------------------------------------------------
@@ -268,9 +303,8 @@ def solve_fundamental(m, lam, steps=DEFAULT_STEPS):
     """
     t = _table(m, steps, dense=True)
     psi, dpsi = _dense(t, lam)
-    ms, dms = m.smooth_value(t.xs), m.smooth_derivative(t.xs)
     return tuple(SolutionTrajectory(lam=lam, xs=t.xs, psi=psi[k], dpsi=dpsi[k], w=t.w, p=t.p,
-                                    ms=ms, dms=dms) for k in (0, 1))
+                                    ms=t.mx, dms=t.dmx) for k in (0, 1))
 
 
 @np.errstate(over="ignore", invalid="ignore")

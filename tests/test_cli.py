@@ -245,6 +245,29 @@ def test_reruns_are_byte_identical(tmp_path):
     assert (a / "discriminant.csv").read_bytes() == (b / "discriminant.csv").read_bytes()
 
 
+def test_in_process_reruns_are_byte_identical(tmp_path):
+    # the second run of each command shares a process with the first, and
+    # the step-table memo the first run filled; nothing left there may
+    # change its files
+    cfg = write_config(tmp_path, TWO_MODE)
+    for argv in (["spectrum"], ["verify", "gradients"], ["discriminant"]):
+        a, b = (tmp_path / "_".join(argv) / run for run in "ab")
+        for out in (a, b):
+            assert entry(argv + ["--config", cfg, "--out", str(out)]) == 0
+        names = sorted(os.listdir(a))
+        assert names and names == sorted(os.listdir(b))
+        assert all((a / f).read_bytes() == (b / f).read_bytes() for f in names)
+
+
+@pytest.mark.parametrize("suite, cases", [("lemma", 18), ("theorem1", 1), ("theorem2", 1)])
+def test_strict_bracket_suites_take_an_atom_of_weight_zero(tmp_path, suite, cases):
+    # an atom without mass leaves every bracket defined, so it is no reason to skip
+    cfg = write_config(tmp_path, dict(TWO_MODE, atoms=[{"q": 0.3, "p": 0.0}]))
+    assert entry(["verify", suite, "--config", cfg, "--out", str(tmp_path)]) == 0
+    doc = json.loads((tmp_path / f"verify_{suite}.json").read_text())
+    assert doc["pass"] is True and len(doc["residuals"]) == cases
+
+
 def fresh_python(*argv):
     """Run `python argv...` in a fresh interpreter on this test's package sources."""
     src = os.path.dirname(os.path.dirname(chspectral.__file__))

@@ -153,6 +153,16 @@ def test_make_coefficient_rejects_bad_input():
                           "atoms": []})
 
 
+def test_atom_at_the_period_end_is_refused():
+    # the step tables would leave out an atom this close to x = 1
+    with pytest.raises(CoefficientError, match="q = 0"):
+        make_coefficient({"smooth": {"kind": "const", "value": 1.0},
+                          "atoms": [{"q": 1.0 - 5e-15, "p": 1.0}]})
+    m = make_coefficient({"smooth": {"kind": "const", "value": 1.0},
+                          "atoms": [{"q": 0.999999, "p": 1.0}]})
+    assert m.atoms == (Atom(q=0.999999, p=1.0),)
+
+
 def test_load_coefficient_roundtrip(tmp_path):
     cfg = {"smooth": {"kind": "fourier", "a0": 1.0, "cos": [0.3]}, "atoms": []}
     path = tmp_path / "m.json"

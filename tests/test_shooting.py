@@ -1,15 +1,18 @@
 """Transfer matrices and trajectories against constant-coefficient closed forms."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from chspectral import shooting
 from chspectral.coefficient import make_coefficient
 from chspectral.shooting import (
     BlowUpError,
     endpoint_column,
     fundamental_matrix,
+    positive_part_vanishes,
     solve_fundamental,
     trajectory_wronskian,
     zero_count,
@@ -369,3 +372,70 @@ def test_dense_pair_carries_m_on_its_grid(name):
     assert t2.ms is t1.ms and t2.dms is t1.dms
     y = t1.combine(t2, 0.5)
     assert y.ms is t1.ms and y.dms is t1.dms
+
+
+# ---------------------------------------------------------------------------
+# the per-process memo of step tables
+
+MEMO_MEMBERS = dict(SAMPLED_MEMBERS, peakon_offset={"atoms": [{"q": 0.3, "p": 1.0}]})
+
+
+def memo_results(m):
+    """Bytes of every shooting operation at one lambda, in a fixed order."""
+    t1, t2 = solve_fundamental(m, 39.4, steps=1000)
+    out = [dataclasses.astuple(fundamental_matrix(m, 39.4, steps=1000)),
+           dataclasses.astuple(fundamental_matrix(m, 39.4, 0.61, steps=1000)),
+           [zero_count(m, 39.4, steps=1000)],
+           *endpoint_column(m, [3.0, 39.4], steps=1000),
+           *endpoint_column(m, [3.0, 39.4], np.eye(2), steps=1000),
+           *(getattr(t, f) for t in (t1, t2) for f in ("xs", "psi", "dpsi", "w", "p", "ms", "dms"))]
+    return [np.asarray(v, dtype=float).tobytes() for v in out]
+
+
+@pytest.mark.parametrize("name", sorted(MEMO_MEMBERS))
+def test_memoised_tables_give_the_cold_results(name):
+    m = make_coefficient(MEMO_MEMBERS[name])
+    shooting._built_table.cache_clear()
+    cold = memo_results(m)
+    misses = shooting._built_table.cache_info().misses
+    assert memo_results(m) == cold
+    assert shooting._built_table.cache_info().misses == misses
+
+
+def test_memoised_tables_are_read_only():
+    m = make_coefficient(MEMO_MEMBERS["atom_at_zero"])
+    t = shooting._table(m, 1000, dense=True)
+    arrays = [a for a in t if isinstance(a, np.ndarray)]
+    assert len(arrays) == 8
+    for a in arrays + [solve_fundamental(m, 39.4, steps=1000)[0].ms]:
+        with pytest.raises(ValueError):
+            a[0] = 1.0
+
+
+def test_memo_stays_bounded():
+    shooting._built_table.cache_clear()
+    for c in range(shooting._TABLES_KEPT + 3):
+        fundamental_matrix(const_m(1.0 + c), 5.0, steps=64)
+    assert shooting._built_table.cache_info().currsize == shooting._TABLES_KEPT
+
+
+def test_default_spellings_share_one_table():
+    m = make_coefficient(MEMO_MEMBERS["two_mode"])
+    shooting._built_table.cache_clear()
+    t = shooting._table(m, 1000)
+    assert shooting._table(m, 1000, 1.0) is t
+    assert shooting._table(m, 1000, x1=1.0, dense=False) is t
+    zero_count(m, 39.4, 1000)
+    fundamental_matrix(m, 39.4, 1.0, 1000)
+    positive_part_vanishes(m, 1000)
+    endpoint_column(m, [39.4], steps=1000)
+    assert shooting._built_table.cache_info().currsize == 1
+
+
+def test_a_coefficient_loaded_afresh_builds_its_own_table():
+    # the memo keys the coefficient object, whose smooth part hashes by identity
+    a, b = (make_coefficient(MEMO_MEMBERS["two_mode"]) for _ in range(2))
+    shooting._built_table.cache_clear()
+    ta, tb = shooting._table(a, 1000), shooting._table(b, 1000)
+    assert ta is not tb and np.array_equal(ta.ms, tb.ms)
+    assert shooting._built_table.cache_info().misses == 2

@@ -164,9 +164,11 @@ def test_verify_gradients_two_mode():
 
 
 def test_verify_gradients_samples_m_once(monkeypatch):
-    # one dense table gives the 8 base pairs and m_s at the hat nodes
+    # one dense table gives the 8 base pairs and m_s at the hat nodes; the
+    # memo already holds the table the bundle was built on, so clear it
     m = two_mode()
     bundle = bundle_at(m, auxiliary_spectrum(m, count=1, steps=1024)[0])
+    shooting._built_table.cache_clear()
     tables, values = [], []
     table, value = shooting._table, PeriodicCoefficient.smooth_value
 

@@ -47,6 +47,8 @@ for stem in atom_at_zero atoms16 samples16 two_mode16; do
   run spectrum --config "$tmp/$stem.json" --out "$out/spectrum_$stem"
   run discriminant --config "$tmp/$stem.json" --out "$out/discriminant_$stem"
 done
+# the default window holds 15 of atoms16's 16 auxiliary points; 62 holds all
+run spectrum --config "$tmp/atoms16.json" --lambda-max 62 --out "$out/spectrum_atoms16_all"
 run verify gradients --config "$tmp/atom_at_zero.json" --out "$out/verify_atom_at_zero"
 run verify gradients --config "$tmp/two_mode16.json" --out "$out/verify_two_mode16"
 for suite in lemma theorem1 theorem2; do
