@@ -6,23 +6,27 @@ an even RK4 step count each, and every atom is a zero-length step whose D
 carries the jump psi' -> psi' - lambda p psi(q).  Where the smooth part
 vanishes identically a stretch is one exact step (psi'' = psi/4), except in
 the dense pair, which keeps the RK4 grid; so purely atomic coefficients
-bypass the integrator.  An RK4 step over [x, x+h] is built from
-c = 1/4 - lambda m at x, x+h/2 and x+h, with entries quadratic in lambda;
-the table samples m_s at those nodes once, when it is built.
+bypass the integrator, and the table holds their exact steps, which do not
+depend on lambda.  An RK4 step over [x, x+h] is built from c = 1/4 - lambda m
+at x, x+h/2 and x+h, with entries quadratic in lambda; the table samples m_s
+at those nodes once, when it is built.
 
 For one lambda a short table is folded row by row in Python floats and a
-long one multiplied as a pairwise tree; a batch of lambdas advances its
-columns row by row with the lambdas as vector lanes; the dense pair and the
-Sturm count are prefix scans.  Only rounding depends on the association: the
-scheme is RK4 and doubling the step count cuts its error by about 16.  The
-dense pair's table starts with a zero-length step at x = 0 (the atom there,
-if any) and the pair stores the state at the end of every row, so x = 0
-appears once and every other atom position twice (pre/post jump).  The
-dense table also gives the pair its integration weights: Simpson weights w
-at the row ends, stretch by stretch, and the atom weights p, so that every
-integral over the grid is a dot product with them.  It samples m_s and m_s'
-at its row ends too, once, when it is built, and the pair carries them, so
-no other module samples m on its grid.
+long one multiplied as a pairwise tree.  A batch of lambdas first composes
+runs of up to 16 rows into blocks, whose entries are polynomials in lambda,
+once for the whole batch, and then advances its columns block by block with
+the lambdas as vector lanes; a run is as long as keeps its phase within 1 at
+the batch's largest lambda, one row when nothing longer does.  The dense
+pair and the Sturm count are prefix scans.  Only rounding depends on the
+association: the scheme is RK4 and doubling the step count cuts its error
+by about 16.  The dense pair's table starts with a zero-length step at x = 0
+(the atom there, if any) and the pair stores the state at the end of every
+row, so x = 0 appears once and every other atom position twice (pre/post
+jump).  The dense table also gives the pair its integration weights: Simpson
+weights w at the row ends, stretch by stretch, and the atom weights p, so
+that every integral over the grid is a dot product with them.  It samples
+m_s and m_s' at its row ends too, once, when it is built, and the pair
+carries them, so no other module samples m on its grid.
 
 A table is built once per (m, steps, x1, dense) per process, however a
 caller spells the defaults, and kept read-only in a small LRU memo keyed by
@@ -48,6 +52,9 @@ _FOLD_ROWS = 128
 # step tables memoised per process: an op reads at most a plain and a dense
 # table per coefficient; at 4096 steps they hold 0.1 and 0.33 MB
 _TABLES_KEPT = 4
+# a batch of lambdas composes runs of up to this many rows (a power of two)
+# into one step, as long as a run's phase stays within 1 (endpoint_column)
+_BLOCK_ROWS = 16
 
 
 class BlowUpError(RuntimeError):
@@ -113,10 +120,11 @@ class _Table(NamedTuple):
     """Every step over [0, x1].  Row r has length h[r] (0 on an atom; h is
     one float when the rows are the steps of one stretch) and atom weight p[r]
     (0 off the atoms); m_s takes the values ms[2r : 2r + 3] at its RK4 nodes
-    (ms is None when the rows are exact).  Only the dense pair's table keeps
-    the nodes, nodes[2r : 2r + 3], the row ends, row r ending at xs[r], and
-    at the row ends the Simpson weights w and m_s, m_s' (mx, dmx).  Every
-    array is read-only."""
+    (ms is None when the rows are exact, and then exact holds their D, which
+    does not depend on lambda).  Only the dense pair's table keeps the nodes,
+    nodes[2r : 2r + 3], the row ends, row r ending at xs[r], and at the row
+    ends the Simpson weights w and m_s, m_s' (mx, dmx).  Every array is
+    read-only."""
 
     xs: np.ndarray | None
     h: np.ndarray | float
@@ -126,6 +134,7 @@ class _Table(NamedTuple):
     w: np.ndarray | None
     mx: np.ndarray | None
     dmx: np.ndarray | None
+    exact: np.ndarray | None
 
 
 def _table(m, steps, x1=1.0, dense=False):
@@ -157,8 +166,9 @@ def _built_table(m, steps, x1, dense):
             h += (q - pos, 0.0)
             p += (0.0, w)
             pos = q
-        return _frozen(_Table(None, np.array(h + [x1 - pos]), np.array(p + [0.0]),
-                              None, None, None, None, None))
+        h = np.array(h + [x1 - pos])
+        return _frozen(_Table(None, h, np.array(p + [0.0]), None, None, None, None, None,
+                              _exact(h)))
     # pieces (rows, h, p, row ends, nodes); row r's first node is row r-1's last
     pieces = [(1, 0.0, w, [0.0], [0.0, 0.0]) for _, w in head]
     size, pos, stretches = len(head), 0.0, []
@@ -179,16 +189,17 @@ def _built_table(m, steps, x1, dense):
     h = h[0] if len(rows) == 1 else np.repeat(h, rows)
     nodes = np.concatenate(([0.0],) + nodes)
     if not dense:
-        ms = None if m.smooth_is_zero else m.smooth_value(nodes)
-        return _frozen(_Table(None, h, np.repeat(p, rows), None, ms, None, None, None))
+        return _frozen(_Table(None, h, np.repeat(p, rows), None, m.smooth_value(nodes),
+                              None, None, None, None))
     xs = np.concatenate(xs)
     # one sampling of m_s: the nodes, then the row ends
     ms, mx = np.split(m.smooth_value(np.concatenate((nodes, xs))), [nodes.size])
     weights = np.zeros(size)
     for s, n, step in stretches:
         weights[s:s + n + 1] += step / 3.0 * np.r_[1.0, np.tile((4.0, 2.0), n // 2 - 1), 4.0, 1.0]
-    return _frozen(_Table(xs, h, np.repeat(p, rows), nodes, None if m.smooth_is_zero else ms,
-                          weights, mx, m.smooth_derivative(xs)))
+    ms = None if m.smooth_is_zero else ms
+    return _frozen(_Table(xs, h, np.repeat(p, rows), nodes, ms, weights, mx,
+                          m.smooth_derivative(xs), _exact(h) if ms is None else None))
 
 
 def _frozen(t):
@@ -236,17 +247,17 @@ def _step_polys(ms, h):
     return np.moveaxis(np.array(polys), -1, 0)
 
 
-def _exact(t):
-    """Rows of D of the exact propagator of psi'' = psi/4 over each row of t."""
+def _exact(h):
+    """Rows of D of the exact propagator of psi'' = psi/4 over rows of length h."""
     # cosh(h/2) - 1 = 2 sinh(h/4)^2 keeps its digits on short steps
-    ch1, sh = 2.0 * np.sinh(0.25 * t.h) ** 2, np.sinh(0.5 * t.h)
+    ch1, sh = 2.0 * np.sinh(0.25 * h) ** 2, np.sinh(0.5 * h)
     return np.array((ch1, 2.0 * sh, 0.5 * sh, ch1))
 
 
 def _entries(t, lam):
     """Rows of D of every row of t at one lambda, the jump -lambda p in d10."""
     if t.ms is None:
-        d = _exact(t)
+        d = t.exact.copy()
     else:
         c = 0.25 - lam * t.ms
         d = np.array(_step_entries(c[0:-1:2], c[1::2], c[2::2], t.h))
@@ -362,31 +373,42 @@ def zero_count(m, lam, steps=DEFAULT_STEPS):
 # ---------------------------------------------------------------------------
 # batched endpoint maps over arrays of lambda (discriminant sweeps)
 
+@np.errstate(over="ignore", invalid="ignore")
 def endpoint_column(m, lams, column=(0.0, 1.0), steps=DEFAULT_STEPS, x1=1.0):
     """Endpoint (psi, psi') at x1 for an array of spectral points.
 
     column is the Cauchy data (psi, psi') at 0 shared by the batch; a (2, k)
     array holds k columns, which advance in one pass and give results with a
-    leading axis of length k.  Each row's matrix is evaluated once for the
-    whole batch, as its lambda-polynomial coefficients times (1, lam, lam^2).
+    leading axis of length k.  The table's rows are composed once per call,
+    for the whole batch, into blocks of _block_rows rows, each a matrix I + B
+    whose entries are polynomials in lambda (_blocks); the lanes then walk
+    the blocks, each block one matmul of its coefficients with the powers of
+    lambda and one update of the columns.
     """
     lams = np.asarray(lams, dtype=float)
     psi, dpsi = (np.multiply.outer(c, np.ones(lams.shape)) for c in np.asarray(column, float))
     t = _table(m, steps, x1)
     if t.ms is None:
         # exact rows: D is affine in lambda
-        polys = np.zeros((t.h.size, 4, 3))
-        polys[:, :, 0] = _exact(t).T
+        polys = np.zeros((t.h.size, 4, 2))
+        polys[:, :, 0] = t.exact.T
     else:
         polys = _step_polys(t.ms, t.h)
     polys[:, 2, 1] -= t.p
-    powers = np.stack((np.ones(lams.size), lams.ravel(), lams.ravel() ** 2))
-    # _apply written out in place: no allocation per row
+    top = float(np.max(np.abs(lams), initial=1.0))
+    # a power of two at least max |lambda| (1 for nan and inf): the scaled
+    # powers of lambda stay within 1, and scaling rounds nothing
+    scale = 2.0 ** math.frexp(top)[1] if math.isfinite(top) else 1.0
+    polys *= scale ** np.arange(polys.shape[-1])
+    blocks = _blocks(polys, _block_rows(t, top))
+    # the powers of lambda / scale, contiguous by power for the matmul
+    powers = np.vander(lams.ravel() / scale, blocks.shape[-1], increasing=True).T.copy()
+    # _apply written out in place: no allocation per block
     d = np.empty((4, lams.size))
     d00, d01, d10, d11 = d.reshape((4,) + lams.shape)
     inc, dinc, tmp = np.empty_like(psi), np.empty_like(psi), np.empty_like(psi)
-    for poly in polys:
-        np.matmul(poly, powers, out=d)
+    for block in blocks:
+        np.matmul(block, powers, out=d)
         np.multiply(d00, psi, out=inc)
         inc += np.multiply(d01, dpsi, out=tmp)
         np.multiply(d10, psi, out=dinc)
@@ -395,3 +417,53 @@ def endpoint_column(m, lams, column=(0.0, 1.0), steps=DEFAULT_STEPS, x1=1.0):
         dpsi += dinc
     _check_guard(psi, dpsi)
     return psi, dpsi
+
+
+def _block_rows(t, top):
+    """Rows per block for lambdas up to top in size: the largest power of two
+    up to _BLOCK_ROWS whose blocks all have a phase of at most 1.  A block of
+    length H carrying atom mass P turns by about sqrt(H^2 (1/4 + top max|m_s|)
+    + top P H).  Within that phase the terms of a block's polynomials, summed
+    in magnitude, stay within a small factor (about cosh 1) of its entries,
+    so evaluating them cancels few digits.  Atoms' kicks count through P: a
+    purely atomic table gets one row per block once lambda passes a few units."""
+    rows = t.p.size
+    h, p = np.broadcast_to(t.h, (rows,)), np.abs(t.p)
+    c = 0.25 + top * (0.0 if t.ms is None else np.max(np.abs(t.ms)))
+    k = _BLOCK_ROWS
+    while k > 1:
+        pad = -rows % k
+        length = np.append(h, np.zeros(pad)).reshape(-1, k).sum(axis=1)
+        mass = np.append(p, np.zeros(pad)).reshape(-1, k).sum(axis=1)
+        if np.max(length * (length * c + top * mass)) <= 1.0:
+            break
+        k //= 2
+    return k
+
+
+def _blocks(polys, k):
+    """Coefficients (ceil(n/k), 4, k d + 1) of D of each run of k rows of polys
+    (n, 4, d + 1), the rows of D as polynomials in lambda; k is a power of two
+    and the last block is padded with zero rows.  A pairwise tree composes all
+    blocks at once, one level per halving."""
+    e = np.concatenate((polys, np.zeros((-len(polys) % k,) + polys.shape[1:])))
+    while k > 1:
+        e = _compose_polys(e[1::2], e[0::2])
+        k //= 2
+    return e
+
+
+def _compose_polys(a, b):
+    """_compose for rows (N, 4, d + 1) of polynomial coefficients: D of
+    (I + a)(I + b), b acting first, of degree 2d."""
+    n, terms = len(a), a.shape[-1]
+    a, b = a.reshape(n, 2, 2, terms), b.reshape(n, 2, 2, terms)
+    # (a b)[i, j] coefficient by coefficient, one matmul over l:
+    # prod[n, i, r, j, s] = sum_l a[n, i, l, r] b[n, l, j, s], of degree r + s
+    prod = np.matmul(a.transpose(0, 1, 3, 2).reshape(n, 2 * terms, 2),
+                     b.reshape(n, 2, 2 * terms)).reshape(n, 2, terms, 2, terms)
+    out = np.zeros((n, 2, 2, 2 * terms - 1))
+    out[..., :terms] = a + b
+    for r in range(terms):
+        out[..., r:r + terms] += prod[:, :, r]
+    return out.reshape(n, 4, 2 * terms - 1)

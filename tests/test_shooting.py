@@ -1,7 +1,9 @@
 """Transfer matrices and trajectories against constant-coefficient closed forms."""
 
 import dataclasses
+import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -439,3 +441,105 @@ def test_a_coefficient_loaded_afresh_builds_its_own_table():
     ta, tb = shooting._table(a, 1000), shooting._table(b, 1000)
     assert ta is not tb and np.array_equal(ta.ms, tb.ms)
     assert shooting._built_table.cache_info().misses == 2
+
+
+# ---------------------------------------------------------------------------
+# the batched sweep's blocks of rows against the one-lambda kernels
+
+CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
+# every shipped config and the five inline members of tools/artifacts.sh
+SWEEP_MEMBERS = {
+    **{path.stem: json.loads(path.read_text()) for path in sorted(CONFIGS.glob("*.json"))},
+    "negative": {"smooth": {"kind": "const", "value": -1.0}},
+    "atom_at_zero": REFERENCE_MEMBERS["atom_at_zero"],
+    "atoms16": {"atoms": [{"q": (2 * i + 1) / 32, "p": 1.0 + 0.25 * (i % 4)} for i in range(16)]},
+    "samples16": {"smooth": {"kind": "samples", "values": [
+        1.2, 1.184775906502, 1.141421356237, 1.076536686473, 1.0, 0.923463313527,
+        0.858578643763, 0.815224093498, 0.8, 0.815224093498, 0.858578643763,
+        0.923463313527, 1.0, 1.076536686473, 1.141421356237, 1.184775906502]}},
+    "two_mode16": SAMPLED_MEMBERS["two_mode16"],
+}
+SWEEP_WINDOWS = [(0.0, 50.0), (-500.0, 500.0), (0.0, 5e4), (0.0, 1e6)]
+
+
+def swing_bound(m, lam, u):
+    """1e-13 of the size a column reaches on its way: max|U| at x = 1, times the
+    frequency sqrt(|lam| max|m_s|), since psi' swings to about omega |psi| and
+    rounding along the way lands on U at that size even where U(1) is near I."""
+    ms = shooting._table(m, shooting.DEFAULT_STEPS).ms
+    omega = 0.0 if ms is None else math.sqrt(abs(lam) * np.max(np.abs(ms)))
+    return 1e-13 * np.max(np.abs(u)) * max(1.0, omega)
+
+
+@pytest.mark.parametrize("window", SWEEP_WINDOWS, ids=lambda w: f"{w[0]:g}..{w[1]:g}")
+@pytest.mark.parametrize("name", sorted(SWEEP_MEMBERS))
+def test_blocked_sweep_matches_the_transfer_matrix(name, window):
+    m = make_coefficient(SWEEP_MEMBERS[name])
+    lams = np.linspace(*window, 17)
+    if name == "negative" and window[1] == 1e6:
+        # c = 1/4 + lambda grows psi by e^1000: both kernels refuse
+        with pytest.raises(BlowUpError):
+            fundamental_matrix(m, window[1])
+        with pytest.raises(BlowUpError):
+            endpoint_column(m, lams, np.eye(2))
+        return
+    psi, dpsi = endpoint_column(m, lams, np.eye(2))
+    y2, dy2 = endpoint_column(m, lams, (0.0, 1.0))
+    # a column is a lane: one pass of two columns is two passes of one
+    assert np.array_equal(y2, psi[1]) and np.array_equal(dy2, dpsi[1])
+    for k, lam in enumerate(lams):
+        U = fundamental_matrix(m, lam)
+        want = np.array([[U.y1, U.y2], [U.dy1, U.dy2]])
+        got = np.array([psi[:, k], dpsi[:, k]])
+        assert np.max(np.abs(got - want)) <= swing_bound(m, lam, want), lam
+    t = shooting._table(m, shooting.DEFAULT_STEPS)
+    k = shooting._block_rows(t, max(abs(window[0]), window[1]))
+    if t.ms is None:
+        assert k == 1           # from lambda = 50 up, atoms' kicks keep one row a block
+    elif window[1] == 1e6:
+        assert k <= 4           # a wide window forces short blocks
+    elif not m.atoms and window[1] == 50.0:
+        assert k == shooting._BLOCK_ROWS
+
+
+@pytest.mark.parametrize("name", sorted(n for n, spec in SWEEP_MEMBERS.items() if "smooth" in spec))
+def test_blocked_sweep_matches_stage_rk4(name):
+    # 1024 steps up to 5e4: blocks of up to 4 rows, each lane against plain RK4 (a
+    # stretch with no smooth part is one exact row, which RK4 only approximates)
+    m = make_coefficient(SWEEP_MEMBERS[name])
+    lams = (-500.0, 0.3, 50.0, 5e4)
+    psi, dpsi = endpoint_column(m, lams, np.eye(2), REFERENCE_STEPS)
+    for k, lam in enumerate(lams):
+        y1, y2, dy1, dy2 = stage_rk4(m, lam, REFERENCE_STEPS)[:, -1]
+        want = np.array([[y1, y2], [dy1, dy2]])
+        got = np.array([psi[:, k], dpsi[:, k]])
+        assert np.max(np.abs(got - want)) <= swing_bound(m, lam, want), lam
+
+
+@pytest.mark.parametrize("name", ["two_mode", "atoms16"])
+def test_empty_sweep_keeps_the_shapes(name):
+    m = make_coefficient(SWEEP_MEMBERS[name])
+    psi, dpsi = endpoint_column(m, [])
+    assert psi.shape == dpsi.shape == (0,)
+    psi, dpsi = endpoint_column(m, np.array([]), np.eye(2))
+    assert psi.shape == dpsi.shape == (2, 0)
+
+
+@pytest.mark.parametrize("name", ["two_mode", "atom_at_zero", "atoms16"])
+def test_repeated_sweeps_are_byte_identical(name):
+    m = make_coefficient(SWEEP_MEMBERS[name])
+    lams = np.linspace(-500.0, 5e4, 101)
+    first = [a.tobytes() for a in endpoint_column(m, lams, np.eye(2))]
+    shooting._built_table.cache_clear()
+    assert [a.tobytes() for a in endpoint_column(m, lams, np.eye(2))] == first
+    assert [a.tobytes() for a in endpoint_column(m, lams, np.eye(2))] == first
+
+
+def test_exact_rows_are_built_with_the_table():
+    # exact rows do not depend on lambda: the table holds them, read-only
+    t = shooting._table(make_coefficient(SWEEP_MEMBERS["atoms16"]), 1000)
+    assert t.ms is None and t.exact.shape == (4, t.h.size)
+    assert np.array_equal(t.exact, shooting._exact(t.h))
+    with pytest.raises(ValueError):
+        t.exact[0, 0] = 1.0
+    assert shooting._table(make_coefficient(SWEEP_MEMBERS["two_mode"]), 1000).exact is None

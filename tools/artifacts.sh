@@ -47,6 +47,13 @@ for stem in atom_at_zero atoms16 samples16 two_mode16; do
   run spectrum --config "$tmp/$stem.json" --out "$out/spectrum_$stem"
   run discriminant --config "$tmp/$stem.json" --out "$out/discriminant_$stem"
 done
+# wide sweeps below and far above the default window: the batched sweep's
+# blocks of rows, with atoms and at negative lambda
+for cfg in configs/two_mode.json "$tmp/atom_at_zero.json"; do
+  stem=$(basename "$cfg" .json)
+  run discriminant --config "$cfg" --lambda-min=-500 --lambda-max 50000 --count 2000 \
+    --out "$out/discriminant_${stem}_wide"
+done
 # the default window holds 15 of atoms16's 16 auxiliary points; 62 holds all
 run spectrum --config "$tmp/atoms16.json" --lambda-max 62 --out "$out/spectrum_atoms16_all"
 run verify gradients --config "$tmp/atom_at_zero.json" --out "$out/verify_atom_at_zero"
