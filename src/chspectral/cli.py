@@ -32,8 +32,13 @@ def _g(x):
 
 
 def _csv(header, columns):
-    lines = [header] + [",".join(_g(c) for c in row) for row in zip(*columns)]
-    return "\n".join(lines) + "\n"
+    """The header, then one row per index of the equal-length columns, every
+    value as _g writes it: one %-format call over the whole table."""
+    if not columns:
+        return header + "\n"
+    values = np.column_stack([np.asarray(c, dtype=float) for c in columns])
+    line = ",".join(["%.17g"] * values.shape[1]) + "\n"
+    return header + "\n" + (line * len(values)) % tuple(values.ravel().tolist())
 
 
 def _fail(message):

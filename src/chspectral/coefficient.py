@@ -186,6 +186,15 @@ class PeriodicCoefficient:
 
     smooth: object
     atoms: tuple[Atom, ...] = ()
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # the dataclass hash, computed once: the step-table memo hashes m on
+        # every lookup, which would otherwise hash every atom again
+        object.__setattr__(self, "_hash", hash((self.smooth, self.atoms)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def has_atoms(self):

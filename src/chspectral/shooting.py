@@ -11,27 +11,34 @@ depend on lambda.  An RK4 step over [x, x+h] is built from c = 1/4 - lambda m
 at x, x+h/2 and x+h, with entries quadratic in lambda; the table samples m_s
 at those nodes once, when it is built.
 
-For one lambda a short table is folded row by row in Python floats and a
-long one multiplied as a pairwise tree.  A batch of lambdas first composes
-runs of up to 16 rows into blocks, whose entries are polynomials in lambda,
-once for the whole batch, and then advances its columns block by block with
-the lambdas as vector lanes; a run is as long as keeps its phase within 1 at
-the batch's largest lambda, one row when nothing longer does.  The dense
-pair and the Sturm count are prefix scans.  Only rounding depends on the
-association: the scheme is RK4 and doubling the step count cuts its error
-by about 16.  The dense pair's table starts with a zero-length step at x = 0
-(the atom there, if any) and the pair stores the state at the end of every
-row, so x = 0 appears once and every other atom position twice (pre/post
-jump).  The dense table also gives the pair its integration weights: Simpson
-weights w at the row ends, stretch by stretch, and the atom weights p, so
-that every integral over the grid is a dot product with them.  It samples
-m_s and m_s' at its row ends too, once, when it is built, and the pair
-carries them, so no other module samples m on its grid.
+Every operation but the dense pair reads the plain table through its
+blocks: runs of k rows composed into one step I + B, whose entries are
+polynomials in lambda.  k is the largest power of two up to 16 whose blocks
+all keep a phase within 1 at the given |lambda|, one row when none does; the
+table fixes these limits once, and builds the coefficients of each block
+size the first time it is asked for, so that one set serves every lambda its
+k admits.  For one lambda, one matvec with the powers of lambda evaluates the
+blocks; the transfer matrix is their product (a short one folded in Python
+floats, a long one a pairwise tree of 2x2 matrices), and the Sturm count
+reads y2 at the block ends from their prefix products.  A batch of lambdas is
+grouped by k, and each group advances its columns block by block with the
+lambdas as vector lanes.  The dense pair is a prefix scan of single rows.
+Only rounding depends on the association: the scheme is RK4 and doubling the
+step count cuts its error by about 16.
+
+The dense pair's table starts with a zero-length step at x = 0 (the atom
+there, if any) and the pair stores the state at the end of every row, so
+x = 0 appears once and every other atom position twice (pre/post jump).
+The dense table also gives the pair its integration weights: Simpson weights
+w at the row ends, stretch by stretch, and the atom weights p, so that every
+integral over the grid is a dot product with them.  It samples m_s and m_s'
+at its row ends too, once, when it is built, and the pair carries them, so
+no other module samples m on its grid.
 
 A table is built once per (m, steps, x1, dense) per process, however a
 caller spells the defaults, and kept read-only in a small LRU memo keyed by
 the coefficient object (a coefficient loaded afresh builds its own): every
-operation on the same m shares it and its one sampling of m.  The
+operation on the same m shares it, its one sampling of m and its blocks.  The
 Floquet property y(x+1) = rho y(x) is a statement about U(1) alone, so
 nothing here integrates past one period.
 """
@@ -50,10 +57,11 @@ BLOWUP_GUARD = 1e300
 # up to this many rows a Python fold beats numpy's fixed cost per call
 _FOLD_ROWS = 128
 # step tables memoised per process: an op reads at most a plain and a dense
-# table per coefficient; at 4096 steps they hold 0.1 and 0.33 MB
+# table per coefficient; at 4096 steps they hold 0.1 and 0.33 MB, and the
+# plain one about 0.3 MB per block size it has used
 _TABLES_KEPT = 4
-# a batch of lambdas composes runs of up to this many rows (a power of two)
-# into one step, as long as a run's phase stays within 1 (endpoint_column)
+# runs of up to this many rows (a power of two) compose into one block, as
+# long as a run's phase stays within 1 (_block_limits)
 _BLOCK_ROWS = 16
 
 
@@ -123,8 +131,11 @@ class _Table(NamedTuple):
     (ms is None when the rows are exact, and then exact holds their D, which
     does not depend on lambda).  Only the dense pair's table keeps the nodes,
     nodes[2r : 2r + 3], the row ends, row r ending at xs[r], and at the row
-    ends the Simpson weights w and m_s, m_s' (mx, dmx).  Every array is
-    read-only."""
+    ends the Simpson weights w and m_s, m_s' (mx, dmx).  Only the plain table
+    keeps blocks, k -> the coefficients of its blocks of k rows as polynomials
+    in lambda (_block_set), k = 1 its rows, built at first use, and limits, the
+    (k, largest |lambda|) that admit blocks of k rows, k = 16, 8, 4, 2.  Every
+    array is read-only."""
 
     xs: np.ndarray | None
     h: np.ndarray | float
@@ -135,6 +146,8 @@ class _Table(NamedTuple):
     mx: np.ndarray | None
     dmx: np.ndarray | None
     exact: np.ndarray | None
+    blocks: dict | None = None
+    limits: tuple | None = None
 
 
 def _table(m, steps, x1=1.0, dense=False):
@@ -167,8 +180,8 @@ def _built_table(m, steps, x1, dense):
             p += (0.0, w)
             pos = q
         h = np.array(h + [x1 - pos])
-        return _frozen(_Table(None, h, np.array(p + [0.0]), None, None, None, None, None,
-                              _exact(h)))
+        return _plain(_Table(None, h, np.array(p + [0.0]), None, None, None, None, None,
+                             _exact(h)))
     # pieces (rows, h, p, row ends, nodes); row r's first node is row r-1's last
     pieces = [(1, 0.0, w, [0.0], [0.0, 0.0]) for _, w in head]
     size, pos, stretches = len(head), 0.0, []
@@ -189,8 +202,8 @@ def _built_table(m, steps, x1, dense):
     h = h[0] if len(rows) == 1 else np.repeat(h, rows)
     nodes = np.concatenate(([0.0],) + nodes)
     if not dense:
-        return _frozen(_Table(None, h, np.repeat(p, rows), None, m.smooth_value(nodes),
-                              None, None, None, None))
+        return _plain(_Table(None, h, np.repeat(p, rows), None, m.smooth_value(nodes),
+                             None, None, None, None))
     xs = np.concatenate(xs)
     # one sampling of m_s: the nodes, then the row ends
     ms, mx = np.split(m.smooth_value(np.concatenate((nodes, xs))), [nodes.size])
@@ -200,6 +213,11 @@ def _built_table(m, steps, x1, dense):
     ms = None if m.smooth_is_zero else ms
     return _frozen(_Table(xs, h, np.repeat(p, rows), nodes, ms, weights, mx,
                           m.smooth_derivative(xs), _exact(h) if ms is None else None))
+
+
+def _plain(t):
+    """The plain table t with its block limits and an empty memo of block sets; frozen."""
+    return _frozen(t._replace(blocks={}, limits=_block_limits(t)))
 
 
 def _frozen(t):
@@ -255,7 +273,8 @@ def _exact(h):
 
 
 def _entries(t, lam):
-    """Rows of D of every row of t at one lambda, the jump -lambda p in d10."""
+    """Rows of D of every row of the dense table t at one lambda, the jump
+    -lambda p in d10."""
     if t.ms is None:
         d = t.exact.copy()
     else:
@@ -277,19 +296,21 @@ def _apply(d, psi, dpsi):
 
 
 def _transfer(e):
-    """(y1, y2, y1', y2') of the product of the rows e (4, n), the first acting
-    first: a short table folded row by row in Python floats, a long one
-    multiplied pairwise."""
-    if e.shape[1] <= _FOLD_ROWS:
+    """(y1, y2, y1', y2') of the product of the rows e (n, 4) of D, the first
+    acting first: a short table folded row by row in Python floats, a long one
+    multiplied pairwise as stacked 2x2 matrices."""
+    if len(e) <= _FOLD_ROWS:
         y1, y2, dy1, dy2 = 1.0, 0.0, 0.0, 1.0
-        for d00, d01, d10, d11 in e.T.tolist():
+        for d00, d01, d10, d11 in e.tolist():
             y1, dy1 = y1 + (d00 * y1 + d01 * dy1), dy1 + (d10 * y1 + d11 * dy1)
             y2, dy2 = y2 + (d00 * y2 + d01 * dy2), dy2 + (d10 * y2 + d11 * dy2)
         return np.array((y1, y2, dy1, dy2))
-    while e.shape[1] > 1:
-        k = e.shape[1] % 2      # an odd row out waits at the front
-        e = np.concatenate((e[:, :k], _compose(e[:, k + 1::2], e[:, k::2])), axis=1)
-    return e[:, 0] + (1.0, 0.0, 0.0, 1.0)
+    e = e.reshape(-1, 2, 2)
+    while len(e) > 1:
+        k = len(e) % 2      # an odd row out waits at the front
+        a, b = e[k + 1::2], e[k::2]
+        e = np.concatenate((e[:k], a + b + a @ b))
+    return e[0].ravel() + (1.0, 0.0, 0.0, 1.0)
 
 
 def _prefix_products(e):
@@ -328,11 +349,11 @@ def _dense(t, lam):
 
 
 def fundamental_matrix(m, lam, x=1.0, steps=DEFAULT_STEPS):
-    """Transfer matrix U(x, lam) for x in one period [0, 1]: the product of the table's rows."""
+    """Transfer matrix U(x, lam) for x in one period [0, 1]: the product of the table's blocks."""
     if not 0.0 <= x <= 1.0:
         raise ValueError("fundamental matrix is tracked over one period [0, 1] only")
     with np.errstate(over="ignore", invalid="ignore"):
-        u = _transfer(_entries(_table(m, steps, x), lam))
+        u = _transfer(_evaluated(_table(m, steps, x), lam))
     _check_guard(u)
     return FundamentalMatrix(x, lam, *u.tolist())
 
@@ -359,11 +380,11 @@ def zero_count(m, lam, steps=DEFAULT_STEPS):
     """Sign changes of y2(., lam) over (0, 1]: the Sturm count of auxiliary points.
 
     It is #{0 < mu_i < lam} for lam > 0 and #{lam < mu_i < 0} for lam < 0, for
-    sign-indefinite m too.  The count runs over y2 at the end of every row;
-    an exact stretch (psi'' = psi/4) is one row and holds at most one zero, so
-    only its ends are read.
+    sign-indefinite m too.  The count runs over y2 at the end of every block:
+    a block turns by a phase of at most 1 < pi, and an exact stretch
+    (psi'' = psi/4) is one row, so y2 has at most one zero inside either.
     """
-    d = _prefix_products(_entries(_table(m, steps), lam))
+    d = _prefix_products(_evaluated(_table(m, steps), lam).T.copy())
     psi, dpsi = d[1], 1.0 + d[3]
     _check_guard(psi, dpsi)
     negative = np.signbit(np.append(0.0, psi))      # y2 > 0 just right of x = 0
@@ -371,7 +392,71 @@ def zero_count(m, lam, steps=DEFAULT_STEPS):
 
 
 # ---------------------------------------------------------------------------
-# batched endpoint maps over arrays of lambda (discriminant sweeps)
+# blocks of rows as polynomials in lambda
+
+def _block_limits(t):
+    """(k, limit) for k = _BLOCK_ROWS, ..., 4, 2: blocks of k rows of the
+    table t have a phase of at most 1 for |lambda| up to limit.  A block of
+    length H carrying atom mass P turns by about
+    sqrt(H^2 (1/4 + |lambda| max|m_s|) + |lambda| P H).  Within that phase the
+    terms of a block's polynomials, summed in magnitude, stay within a small
+    factor (about cosh 1) of its entries, so evaluating them cancels few
+    digits, and y2 has at most one zero inside the block.  Atoms' kicks count
+    through P: a purely atomic table gets one row per block once lambda
+    passes a few units."""
+    h, p = np.broadcast_to(t.h, t.p.shape), np.abs(t.p)
+    ms = 0.0 if t.ms is None else np.max(np.abs(t.ms))
+    limits, k = [], _BLOCK_ROWS
+    while k > 1:
+        starts = np.arange(0, p.size, k)
+        length, mass = np.add.reduceat(h, starts), np.add.reduceat(p, starts)
+        # H^2/4 + L (H^2 max|m_s| + H P) <= 1; a block with neither length
+        # nor mass admits every L
+        with np.errstate(divide="ignore"):
+            limits.append((k, float(np.min((1.0 - 0.25 * length ** 2)
+                                           / (length * (length * ms + mass))))))
+        k //= 2
+    return tuple(limits)
+
+
+def _block_size(t, top):
+    """Rows per block of t at |lambda| = top: the largest k whose limit admits
+    top, one row when none does (nan and inf too)."""
+    for k, limit in t.limits:
+        if top <= limit:
+            return k
+    return 1
+
+
+def _block_set(t, k):
+    """Coefficients (n / k, 4, k d + 1) of the blocks of k rows of the plain
+    table t, built at first use and kept with it; k = 1 gives its rows."""
+    blocks = t.blocks.get(k)
+    if blocks is None:
+        if t.ms is None:
+            # exact rows: D is affine in lambda
+            polys = np.zeros((t.h.size, 4, 2))
+            polys[:, :, 0] = t.exact.T
+        else:
+            polys = _step_polys(t.ms, t.h)
+        polys[:, 2, 1] -= t.p
+        blocks = t.blocks[k] = _blocks(polys, k)
+        blocks.setflags(write=False)
+    return blocks
+
+
+def _evaluated(t, lam):
+    """Rows (n / k, 4) of D of the blocks of the plain table t at one lambda,
+    k as large as |lambda| admits: one matvec with the powers of lambda."""
+    blocks = _block_set(t, _block_size(t, abs(lam)))
+    terms = blocks.shape[-1]
+    # 1, lam, lam^2, ... by repeated products, as np.vander forms them, at a
+    # third of its fixed cost
+    powers = np.full(terms, lam, dtype=float)
+    powers[0] = 1.0
+    powers = np.multiply.accumulate(powers)
+    return (blocks.reshape(-1, terms) @ powers).reshape(-1, 4)
+
 
 @np.errstate(over="ignore", invalid="ignore")
 def endpoint_column(m, lams, column=(0.0, 1.0), steps=DEFAULT_STEPS, x1=1.0):
@@ -379,33 +464,36 @@ def endpoint_column(m, lams, column=(0.0, 1.0), steps=DEFAULT_STEPS, x1=1.0):
 
     column is the Cauchy data (psi, psi') at 0 shared by the batch; a (2, k)
     array holds k columns, which advance in one pass and give results with a
-    leading axis of length k.  The table's rows are composed once per call,
-    for the whole batch, into blocks of _block_rows rows, each a matrix I + B
-    whose entries are polynomials in lambda (_blocks); the lanes then walk
-    the blocks, each block one matmul of its coefficients with the powers of
-    lambda and one update of the columns.
+    leading axis of length k.  The lanes are grouped by the block size their
+    own |lambda| admits (_block_size), and each group walks the table's
+    memoised blocks of that size, each block one matmul of its coefficients
+    with the powers of lambda and one update of the columns.
     """
     lams = np.asarray(lams, dtype=float)
-    psi, dpsi = (np.multiply.outer(c, np.ones(lams.shape)) for c in np.asarray(column, float))
+    column = np.asarray(column, dtype=float)
+    flat = lams.ravel()
     t = _table(m, steps, x1)
-    if t.ms is None:
-        # exact rows: D is affine in lambda
-        polys = np.zeros((t.h.size, 4, 2))
-        polys[:, :, 0] = t.exact.T
-    else:
-        polys = _step_polys(t.ms, t.h)
-    polys[:, 2, 1] -= t.p
-    top = float(np.max(np.abs(lams), initial=1.0))
-    # a power of two at least max |lambda| (1 for nan and inf): the scaled
-    # powers of lambda stay within 1, and scaling rounds nothing
-    scale = 2.0 ** math.frexp(top)[1] if math.isfinite(top) else 1.0
-    polys *= scale ** np.arange(polys.shape[-1])
-    blocks = _blocks(polys, _block_rows(t, top))
-    # the powers of lambda / scale, contiguous by power for the matmul
-    powers = np.vander(lams.ravel() / scale, blocks.shape[-1], increasing=True).T.copy()
+    sizes = np.ones(flat.size, dtype=int)
+    for k, limit in reversed(t.limits):     # the largest k admitted wins
+        sizes[np.abs(flat) <= limit] = k
+    out = np.empty((2,) + column.shape[1:] + flat.shape)
+    for k in np.unique(sizes):
+        lanes = sizes == k
+        out[..., lanes] = _walk(_block_set(t, k), flat[lanes], column)
+    _check_guard(out)
+    psi, dpsi = out.reshape((2,) + column.shape[1:] + lams.shape)
+    return psi, dpsi
+
+
+def _walk(blocks, lams, column):
+    """(psi, psi') after the blocks, the first acting first, for the lanes
+    lams from the Cauchy data column."""
+    psi, dpsi = (np.multiply.outer(c, np.ones(lams.size)) for c in column)
+    # the powers of lambda, contiguous by power for the matmul
+    powers = np.vander(lams, blocks.shape[-1], increasing=True).T.copy()
     # _apply written out in place: no allocation per block
     d = np.empty((4, lams.size))
-    d00, d01, d10, d11 = d.reshape((4,) + lams.shape)
+    d00, d01, d10, d11 = d
     inc, dinc, tmp = np.empty_like(psi), np.empty_like(psi), np.empty_like(psi)
     for block in blocks:
         np.matmul(block, powers, out=d)
@@ -415,30 +503,7 @@ def endpoint_column(m, lams, column=(0.0, 1.0), steps=DEFAULT_STEPS, x1=1.0):
         dinc += np.multiply(d11, dpsi, out=tmp)
         psi += inc
         dpsi += dinc
-    _check_guard(psi, dpsi)
     return psi, dpsi
-
-
-def _block_rows(t, top):
-    """Rows per block for lambdas up to top in size: the largest power of two
-    up to _BLOCK_ROWS whose blocks all have a phase of at most 1.  A block of
-    length H carrying atom mass P turns by about sqrt(H^2 (1/4 + top max|m_s|)
-    + top P H).  Within that phase the terms of a block's polynomials, summed
-    in magnitude, stay within a small factor (about cosh 1) of its entries,
-    so evaluating them cancels few digits.  Atoms' kicks count through P: a
-    purely atomic table gets one row per block once lambda passes a few units."""
-    rows = t.p.size
-    h, p = np.broadcast_to(t.h, (rows,)), np.abs(t.p)
-    c = 0.25 + top * (0.0 if t.ms is None else np.max(np.abs(t.ms)))
-    k = _BLOCK_ROWS
-    while k > 1:
-        pad = -rows % k
-        length = np.append(h, np.zeros(pad)).reshape(-1, k).sum(axis=1)
-        mass = np.append(p, np.zeros(pad)).reshape(-1, k).sum(axis=1)
-        if np.max(length * (length * c + top * mass)) <= 1.0:
-            break
-        k //= 2
-    return k
 
 
 def _blocks(polys, k):

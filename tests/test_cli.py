@@ -4,11 +4,12 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import chspectral
 from chspectral import suites
-from chspectral.cli import entry
+from chspectral.cli import _csv, entry
 from chspectral.corpus import default_corpus
 
 
@@ -37,6 +38,24 @@ def test_discriminant_csv_values(tmp_path):
     assert delta0 == pytest.approx(math.cosh(0.5), abs=1e-10)
     # lambda = 1/4 makes the oscillator frequency vanish: delta is exactly 1
     assert float(lines[2].split(",")[1]) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_csv_writer_matches_the_per_float_join():
+    # one %-format call over the table writes what joining format(float(x),
+    # ".17g") per value wrote, signed zero, subnormals and non-finite included
+    def joined(header, columns):
+        rows = [",".join(format(float(x), ".17g") for x in row) for row in zip(*columns)]
+        return "\n".join([header] + rows) + "\n"
+
+    special = [-0.0, 0.0, 5e-324, 1e308, -1e308, math.nan, math.inf, -math.inf,
+               0.1, 1 / 3, 2.0 ** 53 + 2, 1e-310]
+    columns = (np.array(special), [3, -7, 0, 2 ** 60, 1, 2, 3, 4, 5, 6, 7, 8],
+               [np.float64(x) * 1.5 for x in special])
+    assert _csv("a,b,c", columns) == joined("a,b,c", columns)
+    lams = np.linspace(-500.0, 5e4, 4000)
+    assert _csv("lambda,delta", (lams, np.cos(lams) * 1e9)) == \
+        joined("lambda,delta", (lams, np.cos(lams) * 1e9))
+    assert _csv("lambda,delta", ()) == joined("lambda,delta", ()) == "lambda,delta\n"
 
 
 def test_discriminant_empty_window_header_only(tmp_path):

@@ -1,5 +1,6 @@
 """Momentum representation, Helmholtz velocity solve, hat perturbations."""
 
+import dataclasses
 import json
 import math
 
@@ -161,6 +162,18 @@ def test_atom_at_the_period_end_is_refused():
     m = make_coefficient({"smooth": {"kind": "const", "value": 1.0},
                           "atoms": [{"q": 0.999999, "p": 1.0}]})
     assert m.atoms == (Atom(q=0.999999, p=1.0),)
+
+
+def test_equal_coefficients_hash_and_compare_equal():
+    # the hash is computed once, as the dataclass computed it on every call
+    smooth = FourierSmooth(1.0, [0.3])
+    atoms = tuple(Atom(q, 1.0 + q) for q in (0.1, 0.5, 0.9))
+    a, b = PeriodicCoefficient(smooth, atoms), PeriodicCoefficient(smooth, atoms[:2] + atoms[2:])
+    assert a == b and hash(a) == hash(b) == hash((smooth, atoms))
+    c = dataclasses.replace(a, atoms=atoms[:2])
+    assert c != a and hash(c) == hash((smooth, atoms[:2]))
+    assert a != PeriodicCoefficient(FourierSmooth(1.0, [0.3]), atoms)
+    assert "_hash" not in repr(a)
 
 
 def test_load_coefficient_roundtrip(tmp_path):

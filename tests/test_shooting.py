@@ -211,18 +211,24 @@ def test_blowup_guard():
 
 
 def test_zero_count_matches_the_dense_trajectory():
-    # sign changes of y2 on (0, 1]; atom-only stretches are read at their ends
-    mixed = make_coefficient({"smooth": {"kind": "fourier", "a0": 0.2, "cos": [1.0]},
-                              "atoms": [{"q": 0.3, "p": 0.5}]})
-    atoms = make_coefficient({"smooth": {"kind": "const", "value": 0.0},
-                              "atoms": [{"q": 0.2, "p": 1.0}, {"q": 0.6, "p": 2.0},
-                                        {"q": 0.9, "p": -0.5}]})
-    at_zero = make_coefficient(REFERENCE_MEMBERS["atom_at_zero"])
-    for m in (mixed, atoms, at_zero):
-        for lam in (-300.0, -40.0, 5.0, 50.0, 300.0, 551.6):
+    # sign changes of y2 on (0, 1] at the ends of the plain table's blocks
+    # against those at every row end of the dense pair, which keeps the RK4
+    # grid on atom-only stretches too; negative lambda, atoms and every block
+    # size from 16 rows down to one
+    mixed = {"smooth": {"kind": "fourier", "a0": 0.2, "cos": [1.0]},
+             "atoms": [{"q": 0.3, "p": 0.5}]}
+    atoms = {"smooth": {"kind": "const", "value": 0.0},
+             "atoms": [{"q": 0.2, "p": 1.0}, {"q": 0.6, "p": 2.0}, {"q": 0.9, "p": -0.5}]}
+    lams = np.concatenate((np.linspace(-3000.0, 3000.0, 25), [-40.0, 0.3, 5.0, 50.0, 551.6]))
+    # blocks of 8, 4 and 2 rows on the smooth members, on the side where m
+    # oscillates (the other side grows past the overflow guard)
+    wide = np.array([1.5e5, 5e5, 1e6])
+    for name, spec in [("mixed", mixed), ("atoms", atoms), *SWEEP_MEMBERS.items()]:
+        m = make_coefficient(spec)
+        for lam in np.concatenate((lams, -wide if name == "negative" else wide)):
             _, t2 = solve_fundamental(m, lam, steps=4096)
             negative = np.signbit(t2.psi[1:])
-            assert zero_count(m, lam) == np.count_nonzero(negative[1:] != negative[:-1])
+            assert zero_count(m, lam) == np.count_nonzero(negative[1:] != negative[:-1]), lam
     # m = 1: the auxiliary points are 1/4 + (n pi)^2
     for lam in (5.0, 10.5, 100.0, 400.0):
         want = sum(0.25 + (n * math.pi) ** 2 < lam for n in range(1, 10))
@@ -412,6 +418,14 @@ def test_memoised_tables_are_read_only():
     for a in arrays + [solve_fundamental(m, 39.4, steps=1000)[0].ms]:
         with pytest.raises(ValueError):
             a[0] = 1.0
+    # the plain table's block sets, one per block size used
+    zero_count(m, 39.4, steps=1000)
+    endpoint_column(m, [3.0, 4e4], steps=1000)
+    blocks = shooting._table(m, 1000).blocks
+    assert len(blocks) >= 2
+    for b in blocks.values():
+        with pytest.raises(ValueError):
+            b[0, 0, 0] = 1.0
 
 
 def test_memo_stays_bounded():
@@ -493,7 +507,7 @@ def test_blocked_sweep_matches_the_transfer_matrix(name, window):
         got = np.array([psi[:, k], dpsi[:, k]])
         assert np.max(np.abs(got - want)) <= swing_bound(m, lam, want), lam
     t = shooting._table(m, shooting.DEFAULT_STEPS)
-    k = shooting._block_rows(t, max(abs(window[0]), window[1]))
+    k = shooting._block_size(t, max(abs(window[0]), window[1]))
     if t.ms is None:
         assert k == 1           # from lambda = 50 up, atoms' kicks keep one row a block
     elif window[1] == 1e6:
@@ -514,6 +528,72 @@ def test_blocked_sweep_matches_stage_rk4(name):
         want = np.array([[y1, y2], [dy1, dy2]])
         got = np.array([psi[:, k], dpsi[:, k]])
         assert np.max(np.abs(got - want)) <= swing_bound(m, lam, want), lam
+
+
+# blocks of 16 rows down to 2 or 4 on the smooth members; one row on the
+# atomic ones from lambda ~ 50 up, several below
+BLOCK_LAMS = (-500.0, 0.3, 37.3, 551.5, 5e4, 1.5e5, 5e5, 1e6)
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_MEMBERS))
+def test_blocked_transfer_matrix_matches_the_dense_pair(name):
+    # the one-lambda product of blocks against the last row of the dense pair,
+    # a prefix scan of single rows (RK4 rows on atom-only stretches too, whose
+    # error at 4096 steps is far below rounding); m = -1 grows past the guard
+    # at lambda = 5e5, so it is checked at -lambda
+    m = make_coefficient(SWEEP_MEMBERS[name])
+    sizes = set()
+    for lam in (-np.array(BLOCK_LAMS) if name == "negative" else BLOCK_LAMS):
+        U = fundamental_matrix(m, lam)
+        t1, t2 = solve_fundamental(m, lam)
+        want = np.array([[t1.psi[-1], t2.psi[-1]], [t1.dpsi[-1], t2.dpsi[-1]]])
+        got = np.array([[U.y1, U.y2], [U.dy1, U.dy2]])
+        assert np.max(np.abs(got - want)) <= swing_bound(m, lam, want), lam
+        sizes.add(shooting._block_size(shooting._table(m, shooting.DEFAULT_STEPS), abs(lam)))
+    assert len(sizes) >= 2
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_MEMBERS))
+def test_block_limits_admit_a_phase_of_at_most_one(name):
+    # restated from the rule: a block of length H and atom mass P at |lambda|
+    # = L turns by sqrt(H^2 (1/4 + L max|m_s|) + L P H); each limit is the
+    # largest L at which every block of its k rows stays within 1
+    t = shooting._table(make_coefficient(SWEEP_MEMBERS[name]), shooting.DEFAULT_STEPS)
+    h, p = np.broadcast_to(t.h, t.p.shape), np.abs(t.p)
+    ms = 0.0 if t.ms is None else np.max(np.abs(t.ms))
+    assert [k for k, _ in t.limits] == [16, 8, 4, 2]
+    for k, limit in t.limits:
+        starts = np.arange(0, h.size, k)
+        length, mass = np.add.reduceat(h, starts), np.add.reduceat(p, starts)
+
+        def phase(top):
+            return np.max(np.sqrt(length ** 2 * (0.25 + top * ms) + top * mass * length))
+
+        assert phase(limit) <= 1.0 + 1e-15
+        assert phase(limit * (1.0 + 1e-9)) > 1.0
+        assert shooting._block_size(t, limit) >= k
+        assert shooting._block_size(t, limit * (1.0 + 1e-9)) < k
+    # a block of more rows turns further
+    assert [limit for _, limit in t.limits] == sorted(limit for _, limit in t.limits)
+
+
+def test_sweep_lanes_walk_the_blocks_their_lambda_admits(monkeypatch):
+    # one atom of weight 0.5 shortens the blocks from lambda ~ 1e3 on; the
+    # lanes below keep their longer blocks
+    m = make_coefficient(SWEEP_MEMBERS["atom_at_zero"])
+    lams = np.linspace(-500.0, 5e4, 101)
+    walked, walk = {}, shooting._walk
+
+    def spy(blocks, lanes, column):
+        walked.update((lam, blocks) for lam in lanes)
+        return walk(blocks, lanes, column)
+
+    monkeypatch.setattr(shooting, "_walk", spy)
+    endpoint_column(m, lams)
+    t = shooting._table(m, shooting.DEFAULT_STEPS)
+    assert {shooting._block_size(t, abs(lam)) for lam in lams} == {16, 8, 4, 2, 1}
+    for lam in lams:
+        assert walked[lam] is shooting._block_set(t, shooting._block_size(t, abs(lam)))
 
 
 @pytest.mark.parametrize("name", ["two_mode", "atoms16"])
