@@ -14,13 +14,14 @@ at those nodes once, when it is built.
 Every operation but the dense pair reads the plain table through its
 blocks: runs of k rows composed into one step I + B, whose entries are
 polynomials in lambda.  k is the largest power of two up to 16 whose blocks
-all keep a phase within 1 at the given |lambda|, one row when none does; the
-table fixes these limits once, and builds the coefficients of each block
-size the first time it is asked for, so that one set serves every lambda its
-k admits.  For one lambda, one matvec with the powers of lambda evaluates the
-blocks; the transfer matrix is their product (a short one folded in Python
-floats, a long one a pairwise tree of 2x2 matrices), and the Sturm count
-reads y2 at the block ends from their prefix products.  A batch of lambdas is
+all keep a phase within 1 at the given |lambda|, and whose highest power of
+lambda stays within 2^1000, one row when none does; the table fixes these
+limits once, and builds the coefficients of each block size the first time
+it is asked for, so that one set serves every lambda its k admits.  For
+one lambda, one matvec with the powers of lambda evaluates the blocks; the
+transfer matrix is their product (a short one folded in Python floats, a
+long one a pairwise tree of 2x2 matrices), and the Sturm count reads y2 at
+the block ends from their prefix products.  A batch of lambdas is
 grouped by k, and each group advances its columns block by block with the
 lambdas as vector lanes.  The dense pair is a prefix scan of single rows.
 Only rounding depends on the association: the scheme is RK4 and doubling the
@@ -133,9 +134,9 @@ class _Table(NamedTuple):
     nodes[2r : 2r + 3], the row ends, row r ending at xs[r], and at the row
     ends the Simpson weights w and m_s, m_s' (mx, dmx).  Only the plain table
     keeps blocks, k -> the coefficients of its blocks of k rows as polynomials
-    in lambda (_block_set), k = 1 its rows, built at first use, and limits, the
-    (k, largest |lambda|) that admit blocks of k rows, k = 16, 8, 4, 2.  Every
-    array is read-only."""
+    in lambda (_block_set), k = 1 its rows, built at first use, and limits,
+    the largest |lambda| that admits blocks of k rows, k = 16, 8, 4, 2
+    (_block_limits).  Every array is read-only."""
 
     xs: np.ndarray | None
     h: np.ndarray | float
@@ -147,7 +148,7 @@ class _Table(NamedTuple):
     dmx: np.ndarray | None
     exact: np.ndarray | None
     blocks: dict | None = None
-    limits: tuple | None = None
+    limits: np.ndarray | None = None
 
 
 def _table(m, steps, x1=1.0, dense=False):
@@ -305,6 +306,8 @@ def _transfer(e):
             y1, dy1 = y1 + (d00 * y1 + d01 * dy1), dy1 + (d10 * y1 + d11 * dy1)
             y2, dy2 = y2 + (d00 * y2 + d01 * dy2), dy2 + (d10 * y2 + d11 * dy2)
         return np.array((y1, y2, dy1, dy2))
+    # stacked matmuls take fewer numpy calls per level than _compose, which
+    # wins on the long rows of a prefix scan instead
     e = e.reshape(-1, 2, 2)
     while len(e) > 1:
         k = len(e) % 2      # an odd row out waits at the front
@@ -395,17 +398,21 @@ def zero_count(m, lam, steps=DEFAULT_STEPS):
 # blocks of rows as polynomials in lambda
 
 def _block_limits(t):
-    """(k, limit) for k = _BLOCK_ROWS, ..., 4, 2: blocks of k rows of the
-    table t have a phase of at most 1 for |lambda| up to limit.  A block of
-    length H carrying atom mass P turns by about
-    sqrt(H^2 (1/4 + |lambda| max|m_s|) + |lambda| P H).  Within that phase the
-    terms of a block's polynomials, summed in magnitude, stay within a small
-    factor (about cosh 1) of its entries, so evaluating them cancels few
-    digits, and y2 has at most one zero inside the block.  Atoms' kicks count
-    through P: a purely atomic table gets one row per block once lambda
-    passes a few units."""
+    """Ascending limits on |lambda| that admit blocks of k rows of the table
+    t, for k = _BLOCK_ROWS, ..., 4, 2.  A block of length H carrying atom
+    mass P turns by about sqrt(H^2 (1/4 + |lambda| max|m_s|) + |lambda| P H);
+    within a phase of 1 the terms of a block's polynomials, summed in
+    magnitude, stay within a small factor (about cosh 1) of its entries, so
+    evaluating them cancels few digits, and y2 has at most one zero inside
+    the block.  Atoms' kicks count through P: a purely atomic table gets one
+    row per block once lambda passes a few units.  The highest power of
+    lambda in a block, k d for rows of degree d, also stays within 2^1000, so
+    that it is finite where m_s and the atoms are too small to bound the
+    phase (m = 0 bounds nothing); a coefficient that underflows there drops
+    a term below 1e-22.  One row, of degree 2 at most, reaches every
+    |lambda| below 1.3e154."""
     h, p = np.broadcast_to(t.h, t.p.shape), np.abs(t.p)
-    ms = 0.0 if t.ms is None else np.max(np.abs(t.ms))
+    ms, degree = (0.0, 1) if t.ms is None else (np.max(np.abs(t.ms)), 2)
     limits, k = [], _BLOCK_ROWS
     while k > 1:
         starts = np.arange(0, p.size, k)
@@ -413,19 +420,17 @@ def _block_limits(t):
         # H^2/4 + L (H^2 max|m_s| + H P) <= 1; a block with neither length
         # nor mass admits every L
         with np.errstate(divide="ignore"):
-            limits.append((k, float(np.min((1.0 - 0.25 * length ** 2)
-                                           / (length * (length * ms + mass))))))
+            phase = np.min((1.0 - 0.25 * length ** 2) / (length * (length * ms + mass)))
+        limits.append(min(float(phase), 2.0 ** (1000 / (k * degree))))
         k //= 2
-    return tuple(limits)
+    return np.array(limits)
 
 
 def _block_size(t, top):
-    """Rows per block of t at |lambda| = top: the largest k whose limit admits
-    top, one row when none does (nan and inf too)."""
-    for k, limit in t.limits:
-        if top <= limit:
-            return k
-    return 1
+    """Rows per block of t at |lambda| = top, one top or an array of them:
+    the largest k whose limit admits top, one row when none does (nan and inf
+    too)."""
+    return _BLOCK_ROWS >> np.searchsorted(t.limits, top)
 
 
 def _block_set(t, k):
@@ -450,12 +455,16 @@ def _evaluated(t, lam):
     k as large as |lambda| admits: one matvec with the powers of lambda."""
     blocks = _block_set(t, _block_size(t, abs(lam)))
     terms = blocks.shape[-1]
-    # 1, lam, lam^2, ... by repeated products, as np.vander forms them, at a
-    # third of its fixed cost
-    powers = np.full(terms, lam, dtype=float)
+    return (blocks.reshape(-1, terms) @ _powers(lam, terms)).reshape(-1, 4)
+
+
+def _powers(lams, terms):
+    """1, lambda, ..., lambda^(terms - 1) along a new leading axis, for one
+    lambda or an array: repeated products, as np.vander forms them."""
+    powers = np.empty((terms,) + np.shape(lams))
     powers[0] = 1.0
-    powers = np.multiply.accumulate(powers)
-    return (blocks.reshape(-1, terms) @ powers).reshape(-1, 4)
+    powers[1:] = lams
+    return np.multiply.accumulate(powers, out=powers)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -473,9 +482,7 @@ def endpoint_column(m, lams, column=(0.0, 1.0), steps=DEFAULT_STEPS, x1=1.0):
     column = np.asarray(column, dtype=float)
     flat = lams.ravel()
     t = _table(m, steps, x1)
-    sizes = np.ones(flat.size, dtype=int)
-    for k, limit in reversed(t.limits):     # the largest k admitted wins
-        sizes[np.abs(flat) <= limit] = k
+    sizes = _block_size(t, np.abs(flat))
     out = np.empty((2,) + column.shape[1:] + flat.shape)
     for k in np.unique(sizes):
         lanes = sizes == k
@@ -489,8 +496,7 @@ def _walk(blocks, lams, column):
     """(psi, psi') after the blocks, the first acting first, for the lanes
     lams from the Cauchy data column."""
     psi, dpsi = (np.multiply.outer(c, np.ones(lams.size)) for c in column)
-    # the powers of lambda, contiguous by power for the matmul
-    powers = np.vander(lams, blocks.shape[-1], increasing=True).T.copy()
+    powers = _powers(lams, blocks.shape[-1])
     # _apply written out in place: no allocation per block
     d = np.empty((4, lams.size))
     d00, d01, d10, d11 = d

@@ -122,7 +122,7 @@ def test_transfer_matrix_at_zero_is_the_identity():
         {"atoms": [{"q": 0.3, "p": 1.0}]},
     ]
     for spec in members:
-        for lam in (-50.0, 0.0, 39.4, 4000.0):
+        for lam in (-50.0, 0.0, 39.4, 4000.0, 1e20, -1e150):
             U = fundamental_matrix(make_coefficient(spec), lam, x=0.0)
             assert (U.y1, U.y2, U.dy1, U.dy2) == (1.0, 0.0, 0.0, 1.0)
 
@@ -502,8 +502,9 @@ def test_blocked_sweep_matches_the_transfer_matrix(name, window):
     # a column is a lane: one pass of two columns is two passes of one
     assert np.array_equal(y2, psi[1]) and np.array_equal(dy2, dpsi[1])
     for k, lam in enumerate(lams):
-        U = fundamental_matrix(m, lam)
-        want = np.array([[U.y1, U.y2], [U.dy1, U.dy2]])
+        # the dense pair folds single rows, not the sweep's blocks
+        t1, t2 = solve_fundamental(m, lam)
+        want = np.array([[t1.psi[-1], t2.psi[-1]], [t1.dpsi[-1], t2.dpsi[-1]]])
         got = np.array([psi[:, k], dpsi[:, k]])
         assert np.max(np.abs(got - want)) <= swing_bound(m, lam, want), lam
     t = shooting._table(m, shooting.DEFAULT_STEPS)
@@ -557,24 +558,50 @@ def test_blocked_transfer_matrix_matches_the_dense_pair(name):
 def test_block_limits_admit_a_phase_of_at_most_one(name):
     # restated from the rule: a block of length H and atom mass P at |lambda|
     # = L turns by sqrt(H^2 (1/4 + L max|m_s|) + L P H); each limit is the
-    # largest L at which every block of its k rows stays within 1
+    # largest L at which every block of its k rows stays within 1, unless
+    # L^(k d) would pass 2^1000 first (rows of degree d in lambda)
     t = shooting._table(make_coefficient(SWEEP_MEMBERS[name]), shooting.DEFAULT_STEPS)
     h, p = np.broadcast_to(t.h, t.p.shape), np.abs(t.p)
-    ms = 0.0 if t.ms is None else np.max(np.abs(t.ms))
-    assert [k for k, _ in t.limits] == [16, 8, 4, 2]
-    for k, limit in t.limits:
+    ms, degree = (0.0, 1) if t.ms is None else (np.max(np.abs(t.ms)), 2)
+    assert t.limits.shape == (4,)
+    for k, limit in zip((16, 8, 4, 2), t.limits):
         starts = np.arange(0, h.size, k)
         length, mass = np.add.reduceat(h, starts), np.add.reduceat(p, starts)
 
         def phase(top):
             return np.max(np.sqrt(length ** 2 * (0.25 + top * ms) + top * mass * length))
 
-        assert phase(limit) <= 1.0 + 1e-15
-        assert phase(limit * (1.0 + 1e-9)) > 1.0
+        cap = 2.0 ** (1000 / (k * degree))
+        assert phase(limit) <= 1.0 + 1e-15 and limit <= cap
+        assert phase(limit * (1.0 + 1e-9)) > 1.0 or limit == cap
         assert shooting._block_size(t, limit) >= k
         assert shooting._block_size(t, limit * (1.0 + 1e-9)) < k
     # a block of more rows turns further
-    assert [limit for _, limit in t.limits] == sorted(limit for _, limit in t.limits)
+    assert np.array_equal(t.limits, np.sort(t.limits))
+    # one lambda or an array of them, nan and inf one row a block
+    tops = np.array([0.0, *t.limits, np.inf, np.nan])
+    assert [shooting._block_size(t, top) for top in tops] == list(shooting._block_size(t, tops))
+    assert shooting._block_size(t, np.inf) == shooting._block_size(t, np.nan) == 1
+
+
+@pytest.mark.parametrize("m, lam", [
+    (const_m(1e-6), 1e10), (const_m(1e-6), 3e9), (const_m(1e-9), 1e13),
+    (peakon(1e-12, 0.5), 1e14), (const_m(0.0), 1e20), (const_m(0.0), 1e300),
+], ids=["1e-6@1e10", "1e-6@3e9", "1e-9@1e13", "atom1e-12@1e14", "zero@1e20", "zero@1e300"])
+def test_blocks_stay_finite_where_a_small_m_admits_a_large_lambda(m, lam):
+    # a tiny m turns slowly at a huge lambda: the phase admits long blocks,
+    # whose powers of lambda would overflow unless the limits cap them
+    t1, t2 = solve_fundamental(m, lam)
+    want = np.array([[t1.psi[-1], t2.psi[-1]], [t1.dpsi[-1], t2.dpsi[-1]]])
+    U = fundamental_matrix(m, lam)
+    got = np.array([[U.y1, U.y2], [U.dy1, U.dy2]])
+    assert np.max(np.abs(got - want)) <= swing_bound(m, lam, want)
+    psi, dpsi = endpoint_column(m, [lam, 0.5 * lam, 1.0], np.eye(2))
+    assert np.max(np.abs(np.array([psi[:, 0], dpsi[:, 0]]) - want)) <= swing_bound(m, lam, want)
+    negative = np.signbit(t2.psi[1:])
+    assert zero_count(m, lam) == np.count_nonzero(negative[1:] != negative[:-1])
+    if m.smooth_is_zero and not m.atoms:
+        np.testing.assert_allclose(got, exact_zero_propagator(1.0), rtol=1e-14)
 
 
 def test_sweep_lanes_walk_the_blocks_their_lambda_admits(monkeypatch):
