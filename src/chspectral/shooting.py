@@ -18,14 +18,17 @@ all keep a phase within 1 at the given |lambda|, and whose highest power of
 lambda stays within 2^1000, one row when none does; the table fixes these
 limits once, and builds the coefficients of each block size the first time
 it is asked for, so that one set serves every lambda its k admits.  For
-one lambda, one matvec with the powers of lambda evaluates the blocks; the
-transfer matrix is their product (a short one folded in Python floats, a
-long one a pairwise tree of 2x2 matrices), and the Sturm count reads y2 at
-the block ends from their prefix products.  A batch of lambdas is
-grouped by k, and each group advances its columns block by block with the
-lambdas as vector lanes.  The dense pair is a prefix scan of single rows.
-Only rounding depends on the association: the scheme is RK4 and doubling the
-step count cuts its error by about 16.
+one lambda, one matvec with the powers of lambda evaluates the blocks (at
+one row a block the rows come from c instead, as the dense pair forms them,
+so that no lambda^2 overflows).  The transfer matrix is the product of the
+blocks, and the Sturm count reads y2 at the block ends: a short block list
+is folded in Python floats, y2 alone for the count, with no other numpy
+call; a long one is a pairwise tree of 2x2 matrices, and the count reads it
+from their prefix products.  A batch of lambdas is grouped by k, and each
+group advances its columns block by block with the lambdas as vector lanes.
+The dense pair is a prefix scan of single rows.  Only rounding depends on
+the association: the scheme is RK4 and doubling the step count cuts its
+error by about 16.
 
 The dense pair's table starts with a zero-length step at x = 0 (the atom
 there, if any) and the pair stores the state at the end of every row, so
@@ -117,9 +120,12 @@ class SolutionTrajectory:
 
 
 def _check_guard(*values):
-    # nan and inf fail the comparison too
-    if not all((np.abs(v) <= BLOWUP_GUARD).all() for v in values):
-        raise BlowUpError("trajectory exceeded the overflow guard 1e300")
+    """Raise BlowUpError unless every value, a float or an array, stays
+    within the guard; nan and inf fail the comparison too."""
+    for v in values:
+        within = abs(v) <= BLOWUP_GUARD
+        if not (within if isinstance(within, bool) else within.all()):
+            raise BlowUpError("trajectory exceeded the overflow guard 1e300")
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +280,7 @@ def _exact(h):
 
 
 def _entries(t, lam):
-    """Rows of D of every row of the dense table t at one lambda, the jump
+    """Rows of D of every row of the table t at one lambda, the jump
     -lambda p in d10."""
     if t.ms is None:
         d = t.exact.copy()
@@ -297,15 +303,15 @@ def _apply(d, psi, dpsi):
 
 
 def _transfer(e):
-    """(y1, y2, y1', y2') of the product of the rows e (n, 4) of D, the first
-    acting first: a short table folded row by row in Python floats, a long one
-    multiplied pairwise as stacked 2x2 matrices."""
+    """Floats (y1, y2, y1', y2') of the product of the rows e (n, 4) of D, the
+    first acting first: a short table folded row by row in Python floats, a
+    long one multiplied pairwise as stacked 2x2 matrices."""
     if len(e) <= _FOLD_ROWS:
         y1, y2, dy1, dy2 = 1.0, 0.0, 0.0, 1.0
         for d00, d01, d10, d11 in e.tolist():
             y1, dy1 = y1 + (d00 * y1 + d01 * dy1), dy1 + (d10 * y1 + d11 * dy1)
             y2, dy2 = y2 + (d00 * y2 + d01 * dy2), dy2 + (d10 * y2 + d11 * dy2)
-        return np.array((y1, y2, dy1, dy2))
+        return y1, y2, dy1, dy2
     # stacked matmuls take fewer numpy calls per level than _compose, which
     # wins on the long rows of a prefix scan instead
     e = e.reshape(-1, 2, 2)
@@ -313,7 +319,21 @@ def _transfer(e):
         k = len(e) % 2      # an odd row out waits at the front
         a, b = e[k + 1::2], e[k::2]
         e = np.concatenate((e[:k], a + b + a @ b))
-    return e[0].ravel() + (1.0, 0.0, 0.0, 1.0)
+    return (e[0].ravel() + (1.0, 0.0, 0.0, 1.0)).tolist()
+
+
+def _sign_changes(e):
+    """Sign changes of y2 at the ends of the rows e (n, 4) of D, the first
+    acting first, folded in Python floats; the guard holds at every row end."""
+    y2, dy2, negative, changes = 0.0, 1.0, False, 0     # y2 > 0 just right of x = 0
+    for d00, d01, d10, d11 in e.tolist():
+        y2, dy2 = y2 + (d00 * y2 + d01 * dy2), dy2 + (d10 * y2 + d11 * dy2)
+        if not (abs(y2) <= BLOWUP_GUARD and abs(dy2) <= BLOWUP_GUARD):
+            _check_guard(y2, dy2)       # raises
+        # -0.0 counts as negative, as np.signbit has it
+        if (math.copysign(1.0, y2) < 0.0) is not negative:
+            negative, changes = not negative, changes + 1
+    return changes
 
 
 def _prefix_products(e):
@@ -357,8 +377,8 @@ def fundamental_matrix(m, lam, x=1.0, steps=DEFAULT_STEPS):
         raise ValueError("fundamental matrix is tracked over one period [0, 1] only")
     with np.errstate(over="ignore", invalid="ignore"):
         u = _transfer(_evaluated(_table(m, steps, x), lam))
-    _check_guard(u)
-    return FundamentalMatrix(x, lam, *u.tolist())
+    _check_guard(*u)
+    return FundamentalMatrix(x, lam, *u)
 
 
 def trajectory_wronskian(ta, tb):
@@ -387,7 +407,10 @@ def zero_count(m, lam, steps=DEFAULT_STEPS):
     a block turns by a phase of at most 1 < pi, and an exact stretch
     (psi'' = psi/4) is one row, so y2 has at most one zero inside either.
     """
-    d = _prefix_products(_evaluated(_table(m, steps), lam).T.copy())
+    e = _evaluated(_table(m, steps), lam)
+    if len(e) <= _FOLD_ROWS:
+        return _sign_changes(e)
+    d = _prefix_products(e.T.copy())
     psi, dpsi = d[1], 1.0 + d[3]
     _check_guard(psi, dpsi)
     negative = np.signbit(np.append(0.0, psi))      # y2 > 0 just right of x = 0
@@ -409,8 +432,9 @@ def _block_limits(t):
     lambda in a block, k d for rows of degree d, also stays within 2^1000, so
     that it is finite where m_s and the atoms are too small to bound the
     phase (m = 0 bounds nothing); a coefficient that underflows there drops
-    a term below 1e-22.  One row, of degree 2 at most, reaches every
-    |lambda| below 1.3e154."""
+    a term below 1e-22.  One row a block reaches every lambda: one lambda
+    evaluates such rows from c (_evaluated), and only the sweep's rows, of
+    degree 2 at most, stop at |lambda| = 1.3e154."""
     h, p = np.broadcast_to(t.h, t.p.shape), np.abs(t.p)
     ms, degree = (0.0, 1) if t.ms is None else (np.max(np.abs(t.ms)), 2)
     limits, k = [], _BLOCK_ROWS
@@ -427,10 +451,13 @@ def _block_limits(t):
 
 
 def _block_size(t, top):
-    """Rows per block of t at |lambda| = top, one top or an array of them:
+    """Rows per block of t at |lambda| = top, a float or an array of them:
     the largest k whose limit admits top, one row when none does (nan and inf
     too)."""
-    return _BLOCK_ROWS >> np.searchsorted(t.limits, top)
+    if isinstance(top, np.ndarray):
+        return _BLOCK_ROWS >> np.searchsorted(t.limits, top)
+    # a float in Python: the limits that fail to admit it, as searchsorted counts them
+    return _BLOCK_ROWS >> sum(not top <= limit for limit in t.limits.tolist())
 
 
 def _block_set(t, k):
@@ -452,15 +479,26 @@ def _block_set(t, k):
 
 def _evaluated(t, lam):
     """Rows (n / k, 4) of D of the blocks of the plain table t at one lambda,
-    k as large as |lambda| admits: one matvec with the powers of lambda."""
-    blocks = _block_set(t, _block_size(t, abs(lam)))
+    k as large as |lambda| admits: one matvec with the powers of lambda, or,
+    one row a block, the rows from c = 1/4 - lambda m_s, which stay finite
+    where lambda^2 overflows."""
+    k = _block_size(t, abs(lam))
+    if k == 1:
+        return _entries(t, lam).T
+    blocks = _block_set(t, k)
     terms = blocks.shape[-1]
     return (blocks.reshape(-1, terms) @ _powers(lam, terms)).reshape(-1, 4)
 
 
 def _powers(lams, terms):
-    """1, lambda, ..., lambda^(terms - 1) along a new leading axis, for one
-    lambda or an array: repeated products, as np.vander forms them."""
+    """1, lambda, ..., lambda^(terms - 1): a list for one lambda, or along a
+    new leading axis for an array; repeated products, as np.vander forms
+    them."""
+    if not isinstance(lams, np.ndarray):
+        powers = [1.0]
+        for _ in range(terms - 1):
+            powers.append(powers[-1] * lams)
+        return powers
     powers = np.empty((terms,) + np.shape(lams))
     powers[0] = 1.0
     powers[1:] = lams

@@ -122,7 +122,7 @@ def test_transfer_matrix_at_zero_is_the_identity():
         {"atoms": [{"q": 0.3, "p": 1.0}]},
     ]
     for spec in members:
-        for lam in (-50.0, 0.0, 39.4, 4000.0, 1e20, -1e150):
+        for lam in (-50.0, 0.0, 39.4, 4000.0, 1e20, -1e150, 1e200, -1e300):
             U = fundamental_matrix(make_coefficient(spec), lam, x=0.0)
             assert (U.y1, U.y2, U.dy1, U.dy2) == (1.0, 0.0, 0.0, 1.0)
 
@@ -233,6 +233,27 @@ def test_zero_count_matches_the_dense_trajectory():
     for lam in (5.0, 10.5, 100.0, 400.0):
         want = sum(0.25 + (n * math.pi) ** 2 < lam for n in range(1, 10))
         assert zero_count(const_m(1.0), lam) == want
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_zero_count_of_atoms_matches_the_green_matrix(seed):
+    # 4-16 atoms, one per cell, weights in [0.5, 1.5]: between the atoms
+    # psi'' = psi/4, so the auxiliary points are the reciprocal eigenvalues of
+    # P^(1/2) G P^(1/2), G(x, s) = 2 sinh(min/2) sinh((1 - max)/2) / sinh(1/2)
+    # the Dirichlet Green's function of -D^2 + 1/4; the count is #{mu_i < lam}
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(4, 17))
+    q = (np.arange(n) + rng.uniform(0.1, 0.9, n)) / n
+    p = rng.uniform(0.5, 1.5, n)
+    m = make_coefficient({"atoms": [{"q": float(a), "p": float(b)} for a, b in zip(q, p)]})
+    lo, hi = np.minimum.outer(q, q), np.maximum.outer(q, q)
+    green = 2.0 * np.sinh(0.5 * lo) * np.sinh(0.5 * (1.0 - hi)) / math.sinh(0.5)
+    s = np.sqrt(p)
+    mus = np.sort(1.0 / np.linalg.eigvalsh(s[:, None] * green * s[None, :]))
+    lams = np.concatenate((0.5 * (np.r_[0.0, mus[:-1]] + mus), 2.0 * mus[-1:],
+                           mus * (1.0 - 1e-6), mus * (1.0 + 1e-6), [-50.0]))
+    for lam in lams:
+        assert zero_count(m, lam) == np.count_nonzero(mus < lam), lam
 
 
 # ---------------------------------------------------------------------------
@@ -578,10 +599,25 @@ def test_block_limits_admit_a_phase_of_at_most_one(name):
         assert shooting._block_size(t, limit * (1.0 + 1e-9)) < k
     # a block of more rows turns further
     assert np.array_equal(t.limits, np.sort(t.limits))
-    # one lambda or an array of them, nan and inf one row a block
-    tops = np.array([0.0, *t.limits, np.inf, np.nan])
-    assert [shooting._block_size(t, top) for top in tops] == list(shooting._block_size(t, tops))
-    assert shooting._block_size(t, np.inf) == shooting._block_size(t, np.nan) == 1
+    # one lambda, a Python float, or an array of them: the same rule on
+    # either side of each limit, at it, and at nan and inf (one row a block)
+    tops = np.concatenate(([0.0, np.inf, -np.inf, np.nan], t.limits,
+                           np.nextafter(t.limits, -np.inf), np.nextafter(t.limits, np.inf)))
+    assert [shooting._block_size(t, top) for top in tops.tolist()] == \
+        list(shooting._block_size(t, tops))
+    assert shooting._block_size(t, math.inf) == shooting._block_size(t, math.nan) == 1
+
+
+@pytest.mark.parametrize("lam", [0.0, -0.0, 0.3, -37.3, 551.5, 1e6, -1e20, 1e160, math.nan])
+def test_powers_of_one_lambda_are_the_array_powers(lam):
+    # one lambda's powers, formed in Python, against the lanes' products,
+    # bit for bit, at every block size's number of terms (k d + 1), past
+    # overflow too
+    for terms in sorted({k * d + 1 for k in (1, 2, 4, 8, 16) for d in (1, 2)}):
+        one = np.array(shooting._powers(lam, terms))
+        with np.errstate(over="ignore"):
+            lanes = shooting._powers(np.array([lam]), terms)[:, 0]
+        assert one.tobytes() == lanes.tobytes()
 
 
 @pytest.mark.parametrize("m, lam", [
@@ -602,6 +638,22 @@ def test_blocks_stay_finite_where_a_small_m_admits_a_large_lambda(m, lam):
     assert zero_count(m, lam) == np.count_nonzero(negative[1:] != negative[:-1])
     if m.smooth_is_zero and not m.atoms:
         np.testing.assert_allclose(got, exact_zero_propagator(1.0), rtol=1e-14)
+
+
+@pytest.mark.parametrize("lam", [1e160, -1e160])
+def test_single_rows_stay_finite_where_lambda_squared_overflows(lam):
+    # one row a block: a row's polynomial holds lambda^2, which overflows
+    # above |lambda| = 1.3e154, while its entries from c = 1/4 - lambda m_s,
+    # here c ~ 1/4, do not
+    m = const_m(1e-200)
+    t1, t2 = solve_fundamental(m, lam)
+    want = np.array([[t1.psi[-1], t2.psi[-1]], [t1.dpsi[-1], t2.dpsi[-1]]])
+    U = fundamental_matrix(m, lam)
+    got = np.array([[U.y1, U.y2], [U.dy1, U.dy2]])
+    assert np.max(np.abs(got - want)) <= swing_bound(m, lam, want)
+    np.testing.assert_allclose(got, exact_zero_propagator(1.0), rtol=1e-12)
+    negative = np.signbit(t2.psi[1:])
+    assert zero_count(m, lam) == np.count_nonzero(negative[1:] != negative[:-1]) == 0
 
 
 def test_sweep_lanes_walk_the_blocks_their_lambda_admits(monkeypatch):
