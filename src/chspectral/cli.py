@@ -1,8 +1,8 @@
 """Command-line front end: sweeps, spectra, and verification suites.
 
 Exit codes: 0 success, 1 a verification suite failed, 2 usage or config
-error.  All floats are serialized with 17 significant digits so identical
-inputs give byte-identical artifacts.
+error or an overflow (BlowUpError).  All floats are serialized with 17
+significant digits so identical inputs give byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .floquet import (
     discriminant_sweep,
     periodic_spectrum,
 )
-from .shooting import DEFAULT_STEPS
+from .shooting import DEFAULT_STEPS, BlowUpError
 from .suites import SUITE_NAMES, run_suite
 
 
@@ -192,11 +192,14 @@ def cmd_verify(args):
 def entry(argv=None):
     args = build_parser().parse_args(argv)
     _validated(args)
-    if args.command == "discriminant":
-        return cmd_discriminant(args)
-    if args.command == "spectrum":
-        return cmd_spectrum(args)
-    return cmd_verify(args)
+    try:
+        if args.command == "discriminant":
+            return cmd_discriminant(args)
+        if args.command == "spectrum":
+            return cmd_spectrum(args)
+        return cmd_verify(args)
+    except BlowUpError as exc:
+        _fail(str(exc))
 
 
 def main(argv=None):

@@ -11,24 +11,23 @@ depend on lambda.  An RK4 step over [x, x+h] is built from c = 1/4 - lambda m
 at x, x+h/2 and x+h, with entries quadratic in lambda; the table samples m_s
 at those nodes once, when it is built.
 
-Every operation but the dense pair reads the plain table through its
-blocks: runs of k rows composed into one step I + B, whose entries are
-polynomials in lambda.  k is the largest power of two up to 16 whose blocks
-all keep a phase within 1 at the given |lambda|, and whose highest power of
-lambda stays within 2^1000, one row when none does; the table fixes these
-limits once, and builds the coefficients of each block size the first time
-it is asked for, so that one set serves every lambda its k admits.  For
-one lambda, one matvec with the powers of lambda evaluates the blocks (at
-one row a block the rows come from c instead, as the dense pair forms them,
-so that no lambda^2 overflows).  The transfer matrix is the product of the
-blocks, and the Sturm count reads y2 at the block ends: a short block list
-is folded in Python floats, y2 alone for the count, with no other numpy
-call; a long one is a pairwise tree of 2x2 matrices, and the count reads it
-from their prefix products.  A batch of lambdas is grouped by k, and each
-group advances its columns block by block with the lambdas as vector lanes.
-The dense pair is a prefix scan of single rows.  Only rounding depends on
-the association: the scheme is RK4 and doubling the step count cuts its
-error by about 16.
+Every operation but the dense pair and the hat runs reads the plain table
+through its blocks: runs of k rows composed into one step I + B, whose
+entries are polynomials in lambda.  k is the largest power of two up to 16
+whose blocks all keep a phase within 1 at the given |lambda|, and whose
+highest power of lambda stays within 2^1000, one row when none does; the
+table fixes these limits once, and builds the coefficients of each block
+size the first time it is asked for, so that one set serves every lambda its
+k admits.  For one lambda, one matvec with the powers of lambda evaluates
+the blocks (at one row a block the rows come from c instead, as the dense
+pair forms them, so that no lambda^2 overflows).  The transfer matrix is the
+product of the blocks: a short block list is folded in Python floats, a long
+one is a pairwise tree of 2x2 matrices.  The Sturm count folds y2 alone at
+the block ends in Python floats, whatever the length.  A batch of lambdas is
+grouped by k, and each group advances its columns block by block with the
+lambdas as vector lanes.  The dense pair is a prefix scan of single rows.
+Only rounding depends on the association: the scheme is RK4 and doubling
+the step count cuts its error by about 16.
 
 The dense pair's table starts with a zero-length step at x = 0 (the atom
 there, if any) and the pair stores the state at the end of every row, so
@@ -37,7 +36,11 @@ The dense table also gives the pair its integration weights: Simpson weights
 w at the row ends, stretch by stretch, and the atom weights p, so that every
 integral over the grid is a dot product with them.  It samples m_s and m_s'
 at its row ends too, once, when it is built, and the pair carries them, so
-no other module samples m on its grid.
+no other module samples m on its grid.  The finite-difference hat runs
+(bumped_endpoints) read the dense table too: a hat bump of m_s changes only
+the steps under it, so over a run [a, b) of them the bumped monodromy is
+U(1) U(b)^-1 H U(a), from the base dense pairs U and the run H alone.  The
+hat at x = 0 wraps, so it has a run from 0 and one to 1, a factor each.
 
 A table is built once per (m, steps, x1, dense) per process, however a
 caller spells the defaults, and kept read-only in a small LRU memo keyed by
@@ -58,7 +61,9 @@ import numpy as np
 
 DEFAULT_STEPS = 4096
 BLOWUP_GUARD = 1e300
-# up to this many rows a Python fold beats numpy's fixed cost per call
+# up to this many rows _transfer folds in Python floats, above it numpy's
+# pairwise tree wins (two_mode at 256 rows, interleaved medians on 2 vCPUs:
+# tree ~90 us, fold ~120 us)
 _FOLD_ROWS = 128
 # step tables memoised per process: an op reads at most a plain and a dense
 # table per coefficient; at 4096 steps they hold 0.1 and 0.33 MB, and the
@@ -371,6 +376,49 @@ def _dense(t, lam):
     return psi, dpsi
 
 
+def _times(u, col):
+    """The matrix with rows (u[0], u[1]), (u[2], u[3]) applied to a column."""
+    return np.array((u[0] * col[0] + u[1] * col[1], u[2] * col[0] + u[3] * col[1]))
+
+
+def bumped_endpoints(m, lams, sites, n, eps, steps=DEFAULT_STEPS):
+    """(y2(1), y2'(1)) for m_s + eps hat, then m_s - eps hat, at each site and
+    each lambda of the array lams, axes (sign, site, lambda).  A site's hat has
+    unit mass and width 2/n and wraps; each run of steps under a hat is
+    stepped in turn, all lanes together, on one dense table."""
+    t = _table(m, steps, dense=True)
+    xs = t.xs
+    # rows (y1, y2, y1', y2') of the base pairs, lambda last
+    u = np.array([_dense(t, lam) for lam in lams]).reshape(len(lams), 4, -1).transpose(1, 2, 0)
+    centre = np.mod(sites, n) / n
+    v = np.multiply.outer([0.0, 1.0], np.ones((2, centre.size, len(lams))))
+    # every site's run from max(centre - 1/n, 0), then site 0's tail run to 1
+    head = (np.arange(centre.size), np.maximum(centre - 1.0 / n, 0.0), centre + 1.0 / n)
+    for j, lo, hi in (head, (np.nonzero(centre == 0.0)[0], 1.0 - 1.0 / n, 1.0)):
+        a = np.searchsorted(xs, np.broadcast_to(lo, j.shape), "right") - 1
+        b = np.searchsorted(xs, np.broadcast_to(hi, j.shape), "left")
+        # rows (offset, site): table rows a + 1 ... b take state a to state b;
+        # an offset past a run's end is a zero-length step
+        off = np.arange(np.max(b - a, initial=0))[:, None]
+        r = np.minimum(a + off, xs.size - 2) + 1
+        node = 2 * r[:, None] + np.arange(3)[:, None]
+        hat = n * np.clip(1.0 - n * np.abs(np.mod(t.nodes[node] - centre[j] + 0.5, 1.0) - 0.5),
+                          0.0, None)
+        base = 0.0 if t.ms is None else t.ms[node][:, :, None]
+        msub = (base + hat[:, :, None] * [[eps], [-eps]])[..., None]
+        h, p = (np.where(off < b - a, w[r], 0.0)[..., None] for w in (t.h, t.p))
+        col = _times(u[:, a], v[:, :, j])
+        for k in range(off.size):
+            d00, d01, d10, d11 = _step_entries(*(0.25 - lams * msub[k]), h[k])
+            col = _apply((d00, d01, d10 - lams * p[k], d11), *col)
+        # v + U(b)^-1 (H U(a) v - U(b) v): U(b)^-1 amplifies rounding where
+        # c = 1/4 - lambda m > 0, so it maps back only the change H makes
+        ub = u[:, b]
+        v[:, :, j] += (_times((ub[3], -ub[1], -ub[2], ub[0]), col - _times(ub, v[:, :, j]))
+                       / (ub[0] * ub[3] - ub[1] * ub[2]))
+    return _times(u[:, -1], v)
+
+
 def fundamental_matrix(m, lam, x=1.0, steps=DEFAULT_STEPS):
     """Transfer matrix U(x, lam) for x in one period [0, 1]: the product of the table's blocks."""
     if not 0.0 <= x <= 1.0:
@@ -407,14 +455,7 @@ def zero_count(m, lam, steps=DEFAULT_STEPS):
     a block turns by a phase of at most 1 < pi, and an exact stretch
     (psi'' = psi/4) is one row, so y2 has at most one zero inside either.
     """
-    e = _evaluated(_table(m, steps), lam)
-    if len(e) <= _FOLD_ROWS:
-        return _sign_changes(e)
-    d = _prefix_products(e.T.copy())
-    psi, dpsi = d[1], 1.0 + d[3]
-    _check_guard(psi, dpsi)
-    negative = np.signbit(np.append(0.0, psi))      # y2 > 0 just right of x = 0
-    return int(np.count_nonzero(negative[1:] != negative[:-1]))
+    return _sign_changes(_evaluated(_table(m, steps), lam))
 
 
 # ---------------------------------------------------------------------------

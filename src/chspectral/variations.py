@@ -16,10 +16,8 @@ weights p for the atoms; nothing here samples m on it.
 
 The finite-difference check takes a bundle and compares its fields with
 centered differences of hat-bump perturbations of the smooth part, at the
-bundle point's step count.  A hat changes only the steps under it: over a
-run [a, b) of them the bumped monodromy is U(1) U(b)^-1 H U(a), from the
-base dense pairs U and the run H alone.  The hat at x = 0 wraps, so it has a
-run from 0 and one to 1, a factor each.
+bundle point's step count; shooting.bumped_endpoints runs the bumped
+integrations, and the check fits and solves their endpoints.
 """
 
 from __future__ import annotations
@@ -31,7 +29,7 @@ import numpy as np
 from numpy.polynomial import chebyshev
 
 from .brackets import ProductField
-from .shooting import _apply, _dense, _step_entries, _table, solve_fundamental
+from .shooting import bumped_endpoints, solve_fundamental
 
 VANISH_GUARD = 1e-12
 _CHEB_NODES = np.cos(np.pi * (np.arange(8) + 0.5) / 8.0)
@@ -168,48 +166,6 @@ def gradient_table(bundle, n):
     return (xs, *_fields_at(bundle, xs))
 
 
-def _times(u, col):
-    """The matrix with rows (u[0], u[1]), (u[2], u[3]) applied to a column."""
-    return np.array((u[0] * col[0] + u[1] * col[1], u[2] * col[0] + u[3] * col[1]))
-
-
-def _bumped_endpoints(m, lams, sites, n, eps, steps):
-    """(y2(1), y2'(1)) for m_s + eps hat, then m_s - eps hat, at each site and
-    lambda: lanes (sign, site, lambda), each run of steps under a hat in turn.
-    The base dense pairs and m_s at the hat nodes come from one dense table."""
-    t = _table(m, steps, dense=True)
-    xs = t.xs
-    # rows (y1, y2, y1', y2') of the base pairs, lambda last
-    u = np.array([_dense(t, lam) for lam in lams]).reshape(len(lams), 4, -1).transpose(1, 2, 0)
-    centre = np.mod(sites, n) / n
-    v = np.multiply.outer([0.0, 1.0], np.ones((2, centre.size, len(lams))))
-    # every site's run from max(centre - 1/n, 0), then site 0's tail run to 1
-    head = (np.arange(centre.size), np.maximum(centre - 1.0 / n, 0.0), centre + 1.0 / n)
-    for j, lo, hi in (head, (np.nonzero(centre == 0.0)[0], 1.0 - 1.0 / n, 1.0)):
-        a = np.searchsorted(xs, np.broadcast_to(lo, j.shape), "right") - 1
-        b = np.searchsorted(xs, np.broadcast_to(hi, j.shape), "left")
-        # rows (offset, site): table rows a + 1 ... b take state a to state b;
-        # an offset past a run's end is a zero-length step
-        off = np.arange(np.max(b - a, initial=0))[:, None]
-        r = np.minimum(a + off, xs.size - 2) + 1
-        node = 2 * r[:, None] + np.arange(3)[:, None]
-        hat = n * np.clip(1.0 - n * np.abs(np.mod(t.nodes[node] - centre[j] + 0.5, 1.0) - 0.5),
-                          0.0, None)
-        base = 0.0 if t.ms is None else t.ms[node][:, :, None]
-        msub = (base + hat[:, :, None] * [[eps], [-eps]])[..., None]
-        h, p = (np.where(off < b - a, w[r], 0.0)[..., None] for w in (t.h, t.p))
-        col = _times(u[:, a], v[:, :, j])
-        for k in range(off.size):
-            d00, d01, d10, d11 = _step_entries(*(0.25 - lams * msub[k]), h[k])
-            col = _apply((d00, d01, d10 - lams * p[k], d11), *col)
-        # v + U(b)^-1 (H U(a) v - U(b) v): U(b)^-1 amplifies rounding where
-        # c = 1/4 - lambda m > 0, so it maps back only the change H makes
-        ub = u[:, b]
-        v[:, :, j] += (_times((ub[3], -ub[1], -ub[2], ub[0]), col - _times(ub, v[:, :, j]))
-                       / (ub[0] * ub[3] - ub[1] * ub[2]))
-    return _times(u[:, -1], v)
-
-
 def _cheb_roots(coef):
     """Per column of Chebyshev coefficients, the real root nearest 0 within
     [-1.02, 1.02] (nan if none): chebroots' companion matrices, one eigvals call."""
@@ -229,8 +185,7 @@ def verify_gradients(m, bundle, n=256, eps=1e-5, sites=None):
     +-eps * hat (the hat has unit mass and width 2/n) and mu, log|rho|, f, g
     are recomputed; the centered quotients approximate the gradient fields at
     the site up to the O(1/n^2) smearing of the hat.  Each bump's y2(1) and
-    y2'(1) at 8 Chebyshev nodes in [mu - d, mu + d] are U(1) U(b)^-1 H U(a),
-    H the steps under the hat (two runs for the hat at x = 0, which wraps).
+    y2'(1) come at 8 Chebyshev nodes in [mu - d, mu + d] (bumped_endpoints).
     Each perturbed mu, the root of the y2(1) interpolant, moves by about
     eps max|grad mu| <= d/50; a lost root raises RuntimeError naming mu and
     the site.
@@ -248,7 +203,7 @@ def verify_gradients(m, bundle, n=256, eps=1e-5, sites=None):
     d = max(1e-3 * max(1.0, abs(mu)), 50.0 * eps * max(gm_max, 1.0))
     # variants run +eps over the sites, then -eps; one column of 8 nodes each
     y2, dy2 = (end.reshape(2 * nsite, 8).T for end in
-               _bumped_endpoints(m, mu + d * _CHEB_NODES, sites, n, eps, steps))
+               bumped_endpoints(m, mu + d * _CHEB_NODES, sites, n, eps, steps))
     t = _cheb_roots(chebyshev.chebfit(_CHEB_NODES, y2, 7))
     lost = np.nonzero(np.isnan(t))[0]
     if lost.size:

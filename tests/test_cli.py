@@ -214,7 +214,7 @@ def test_verify_gradients_strict_peakon_passes(tmp_path):
     assert len(grads) == 257
 
 
-def test_usage_errors_exit_2(tmp_path):
+def test_usage_errors_exit_2(tmp_path, capsys):
     with pytest.raises(SystemExit) as err:
         entry(["discriminant"])
     assert err.value.code == 2
@@ -234,6 +234,17 @@ def test_usage_errors_exit_2(tmp_path):
     with pytest.raises(SystemExit) as err:
         entry(["spectrum", "--config", str(bad)])
     assert err.value.code == 2
+    # windows where solutions grow like e^1000: one line, no traceback
+    two_mode = os.path.join(os.path.dirname(os.path.dirname(__file__)), "configs",
+                            "two_mode.json")
+    for argv in (["spectrum", "--config", two_mode, "--lambda-min=-1e6", "--lambda-max", "10"],
+                 ["discriminant", "--config", two_mode, "--lambda-min=-1e7", "--lambda-max", "0"]):
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as err:
+            entry(argv)
+        assert err.value.code == 2
+        assert capsys.readouterr().err == \
+            "chspectral: trajectory exceeded the overflow guard 1e300\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,5 +1,6 @@
 """Transfer matrices and trajectories against constant-coefficient closed forms."""
 
+import ast
 import dataclasses
 import json
 import math
@@ -208,6 +209,9 @@ def test_endpoint_column_matches_scalar():
 def test_blowup_guard():
     with pytest.raises(BlowUpError):
         fundamental_matrix(const_m(1.0), lam=-1e8, steps=256)
+    # the Sturm count's fold over 4096 one-row blocks
+    with pytest.raises(BlowUpError):
+        zero_count(const_m(1.0), lam=-1e8, steps=4096)
 
 
 def test_zero_count_matches_the_dense_trajectory():
@@ -702,3 +706,19 @@ def test_exact_rows_are_built_with_the_table():
     with pytest.raises(ValueError):
         t.exact[0, 0] = 1.0
     assert shooting._table(make_coefficient(SWEEP_MEMBERS["two_mode"]), 1000).exact is None
+
+
+def test_only_shooting_knows_the_grid():
+    # no other module imports a private name of shooting or reads one off it
+    src = pathlib.Path(shooting.__file__).parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "shooting.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("shooting"):
+                found += [(path.name, a.name) for a in node.names if a.name.startswith("_")]
+            if (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                    and isinstance(node.value, ast.Name) and node.value.id == "shooting"):
+                found.append((path.name, node.attr))
+    assert found == []

@@ -156,7 +156,7 @@ def test_run_suite_builds_each_point_once(monkeypatch):
     mods = [floquet, suites, variations]
     floquets = count_calls(monkeypatch, mods[:2], "second_floquet")
     bundles = count_calls(monkeypatch, mods[1:], "gradient_bundle")
-    pairs = count_calls(monkeypatch, [shooting, variations], "_dense")
+    pairs = count_calls(monkeypatch, [shooting], "_dense")
     run_suite("all")
     # second_floquet(m, point) and gradient_bundle(point, solutions)
     for calls, k, most in ((floquets, 1, 10), (bundles, 0, 8)):

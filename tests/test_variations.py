@@ -180,8 +180,7 @@ def test_verify_gradients_samples_m_once(monkeypatch):
         values.append(x)
         return value(self, x)
 
-    for module in (shooting, variations):
-        monkeypatch.setattr(module, "_table", counted_table)
+    monkeypatch.setattr(shooting, "_table", counted_table)
     monkeypatch.setattr(PeriodicCoefficient, "smooth_value", counted_value)
     chk = verify_gradients(m, bundle, n=64, eps=1e-5)
     assert len(tables) == 1 and len(values) == 1
@@ -271,7 +270,7 @@ def test_bumped_endpoints_match_the_bumped_coefficient(name):
     n, steps, eps = 64, 1024, 1e-3
     sites = [0, 1, 19, 24, n // 2, n - 1]
     lams = np.array([-50.0, 0.3, 39.4, 551.5])
-    y2, dy2 = variations._bumped_endpoints(m, lams, sites, n, eps, steps)
+    y2, dy2 = shooting.bumped_endpoints(m, lams, sites, n, eps, steps)
     for i, sign in enumerate((eps, -eps)):
         for k, site in enumerate(sites):
             bumped = PeriodicCoefficient(BumpedSmooth(m.smooth, site, n, sign), m.atoms)

@@ -39,6 +39,10 @@ for cfg in configs/*.json; do
   run discriminant --config "$cfg" --out "$out/discriminant_$stem"
 done
 run spectrum --config configs/two_mode.json --lambda-max 4000 --out "$out/spectrum_two_mode_4000"
+# blocks of 8 rows, 512 a call: the one-lambda tree and the Sturm count's
+# fold over a block list longer than 256
+run spectrum --config configs/two_mode.json --lambda-min 1.5e5 --lambda-max 1.55e5 \
+  --out "$out/spectrum_two_mode_150000"
 run verify all --config configs/two_mode.json --out "$out/verify_two_mode"
 run verify gradients --config configs/peakon_offset.json --out "$out/verify_peakon_offset"
 run spectrum --config "$tmp/negative.json" --lambda-min=-300 --lambda-max 300 \
