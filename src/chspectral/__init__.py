@@ -27,7 +27,6 @@ from .floquet import (
     auxiliary_spectrum,
     discriminant,
     discriminant_sweep,
-    gap_check,
     periodic_spectrum,
     refine_point,
     second_floquet,

@@ -21,6 +21,7 @@ from .floquet import (
     GUARD_BAND,
     auxiliary_spectrum,
     discriminant_sweep,
+    hill_problems,
     periodic_spectrum,
 )
 from .shooting import DEFAULT_STEPS, BlowUpError
@@ -140,8 +141,13 @@ def cmd_spectrum(args):
     rows = []
     if hi > lo:
         points = auxiliary_spectrum(m, lam_min=lo, lam_max=hi, steps=args.steps)
+        edges = periodic_spectrum(m, lo, hi, steps=args.steps, points=points)
+        problems = hill_problems(points, edges) if 0.0 <= lo <= GUARD_BAND else []
+        if problems:
+            print("chspectral: warning: the spectrum breaks Hill's pattern: "
+                  + "; ".join(problems), file=sys.stderr)
         counters = {"periodic": 0, "antiperiodic": 0}
-        for edge in periodic_spectrum(m, lo, hi, steps=args.steps, points=points):
+        for edge in edges:
             counters[edge.kind] += 1
             rho = 1.0 if edge.kind == "periodic" else -1.0
             rows.append((edge.lam, edge.kind, counters[edge.kind], rho,

@@ -7,7 +7,9 @@ brackets each point alone and gives its index; brentq polishes it at the full
 step count.  Band edges are the lambda where the discriminant meets +-1.
 Each spectral gap holds exactly one mu_i (Hill's theorem), so the edges are
 bracketed between consecutive auxiliary points; an auxiliary point on an
-edge is that edge, counted twice when it closes its gap.
+edge is that edge, counted twice when it closes its gap.  hill_problems
+checks a window's points and edges against that pattern without
+integrating anything.
 """
 
 from __future__ import annotations
@@ -63,27 +65,6 @@ class BandEdge:
     lam: float
     kind: str
     multiplicity: int
-
-
-@dataclass(frozen=True)
-class GapCount:
-    lo: float
-    hi: float
-    closed: bool
-    cut: bool           # upper edge beyond the scanned window
-    mus: tuple
-
-
-@dataclass
-class GapCheck:
-    """Auxiliary points sorted into spectral gaps over a window."""
-
-    edges: list
-    gaps: list
-    aux: list
-    ground: tuple       # mus below the lowest band edge (expected none)
-    stray: tuple        # mus inside a band (expected none)
-    passed: bool
 
 
 def discriminant(m, lam, steps=DEFAULT_STEPS):
@@ -262,50 +243,37 @@ def periodic_spectrum(m, lam_min, lam_max, steps=DEFAULT_STEPS, points=None):
     return edges
 
 
-def gap_check(m, lam_min, lam_max, steps=DEFAULT_STEPS, edge_tol=EDGE_TOL):
-    """Count auxiliary points per spectral gap over [max(lam_min, GUARD_BAND), lam_max].
+def hill_problems(points, edges):
+    """What breaks Hill's pattern in a window whose bottom lies in [0, GUARD_BAND].
 
-    Passes when every interior gap holds exactly one mu (closed gaps count
-    the pinned mu through an edge tolerance), the region below the lowest
-    band edge holds none, and no mu sits inside a band.  A gap cut off by
-    the window top may hold at most one.
+    points and edges are the window's full auxiliary set and band edges, as
+    auxiliary_spectrum and periodic_spectrum give them; nothing is
+    integrated, and an empty list means the pattern holds.  Counted with
+    multiplicity, the edges e_0 <= e_1 <= ... read periodic, antiperiodic
+    twice, periodic twice, and so on; the points carry the indices 1..N; mu_n
+    lies in gap n, [e_(2n-1), e_(2n)], within EDGE_TOL relative, where
+    e_(2n) may be missing only above the window (a gap cut by the window
+    top, or the half-infinite last gap of a purely atomic m); so there are
+    2N to 2N + 2 edges.
     """
-    lo = max(lam_min, GUARD_BAND)
-    aux = auxiliary_spectrum(m, lam_min=lo, lam_max=lam_max, steps=steps)
-    edges = periodic_spectrum(m, lo, lam_max, steps, points=aux)
-    seq = [e.lam for e in edges for _ in range(e.multiplicity)]
-
-    def tol_at(x):
-        return edge_tol * max(1.0, abs(x))
-
-    raw_gaps = []
-    i = 1
-    while i < len(seq):
-        if i + 1 < len(seq):
-            raw_gaps.append((seq[i], seq[i + 1], False))
-        else:
-            raw_gaps.append((seq[i], lam_max, True))
-        i += 2
-
-    gap_mus = [[] for _ in raw_gaps]
-    ground, stray = [], []
-    for pt in aux:
-        for k, (lo, hi, cut) in enumerate(raw_gaps):
-            if lo - tol_at(lo) <= pt.mu <= hi + tol_at(hi):
-                gap_mus[k].append(pt.mu)
-                break
-        else:
-            if seq and pt.mu < seq[0]:
-                ground.append(pt.mu)
-            else:
-                stray.append(pt.mu)
-
-    passed = not ground and not stray
-    gaps = []
-    for (lo, hi, cut), mus in zip(raw_gaps, gap_mus):
-        ok = len(mus) <= 1 if cut else len(mus) == 1
-        passed = passed and ok
-        gaps.append(GapCount(lo=lo, hi=hi, closed=hi - lo <= tol_at(hi),
-                             cut=cut, mus=tuple(mus)))
-    return GapCheck(edges=edges, gaps=gaps, aux=aux,
-                    ground=tuple(ground), stray=tuple(stray), passed=passed)
+    seq = [e for e in edges for _ in range(e.multiplicity)]
+    n = len(points)
+    problems = []
+    kinds = "".join(e.kind[0] for e in seq)
+    order = "".join("pa"[(i + 1) // 2 % 2] for i in range(len(seq)))
+    if kinds != order:
+        problems.append(f"edge kinds {kinds}, Hill's order {order}")
+    indices = [pt.index for pt in points]
+    if indices != list(range(1, n + 1)):
+        problems.append(f"point indices {indices} are not 1..{n}")
+    if not 2 * n <= len(seq) <= 2 * n + 2:
+        problems.append(f"{len(seq)} edges for {n} points, not {2 * n} to {2 * n + 2}")
+    for pt in points:
+        a, b = 2 * pt.index - 1, 2 * pt.index
+        if not 0 < a < len(seq):
+            continue    # no lower edge: the index or the edge count is wrong
+        lo, hi = seq[a].lam, seq[b].lam if b < len(seq) else math.inf
+        if not lo - EDGE_TOL * max(1.0, lo) <= pt.mu <= hi + EDGE_TOL * max(1.0, hi):
+            problems.append(f"mu_{pt.index} = {pt.mu:.9g} lies outside gap {pt.index}, "
+                            f"[{lo:.9g}, {hi:.9g}]")
+    return problems

@@ -14,10 +14,12 @@ import pytest
 from chspectral.brackets import ProductField, conjugacy_matrix, conjugacy_target, lemma_residual
 from chspectral.corpus import default_corpus
 from chspectral.floquet import (
+    EDGE_TOL,
     GUARD_BAND,
     auxiliary_spectrum,
     discriminant_sweep,
-    gap_check,
+    hill_problems,
+    periodic_spectrum,
     refine_point,
     second_floquet,
 )
@@ -175,11 +177,15 @@ def test_11_open_gaps_hold_exactly_one_auxiliary_point():
     open_gaps = 0
     for name, member in CORPUS.items():
         hi = 120.0 if not member.m.has_atoms else 20.0
-        chk = gap_check(member.m, GUARD_BAND, hi, steps=DEFAULT_STEPS)
-        assert chk.passed, f"{name}: gap accounting failed"
-        for gap in chk.gaps:
-            if not gap.closed:
+        points = auxiliary_spectrum(member.m, GUARD_BAND, hi, steps=DEFAULT_STEPS)
+        edges = periodic_spectrum(member.m, GUARD_BAND, hi, DEFAULT_STEPS, points=points)
+        assert hill_problems(points, edges) == [], f"{name}: Hill's pattern fails"
+        # gap n is [e_(2n-1), e_(2n)], the last one cut at hi when e_(2n) lies above
+        seq = [e.lam for e in edges for _ in range(e.multiplicity)] + [hi]
+        for lo, top in zip(seq[1::2], seq[2::2]):
+            tol = EDGE_TOL * max(1.0, top)
+            if top - lo > tol:
                 open_gaps += 1
-                assert len(gap.mus) == 1
+                assert sum(lo - tol <= pt.mu <= top + tol for pt in points) == 1
     print(f"{open_gaps} open gaps across the corpus, each holding one point")
     assert open_gaps >= 4

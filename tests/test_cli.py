@@ -160,6 +160,53 @@ def test_spectrum_edge_index_ranks_within_the_window(tmp_path):
     assert ["aux", "4"] in [r[:2] for r in full]
 
 
+def test_spectrum_warns_once_when_hills_pattern_breaks(tmp_path, capsys):
+    # two_mode to 4000 loses band edges above ~1680 (ROADMAP item 2): the
+    # run still succeeds and its CSV is written, with one warning line
+    cfg = write_config(tmp_path, TWO_MODE)
+    capsys.readouterr()
+    rows = spectrum_rows(tmp_path, cfg, "--lambda-max", "4000")
+    assert len([r for r in rows if r[0] == "aux"]) == 20
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("chspectral: warning: the spectrum breaks Hill's pattern: ")
+
+
+def test_spectrum_of_every_shipped_config_is_silent(tmp_path, capsys):
+    configs = os.path.join(os.path.dirname(os.path.dirname(__file__)), "configs")
+    names = sorted(os.listdir(configs))
+    assert len(names) >= 5
+    capsys.readouterr()
+    for name in names:
+        spectrum_rows(tmp_path, os.path.join(configs, name))
+        assert capsys.readouterr().err == "", name
+
+
+def test_spectrum_checks_only_windows_from_zero(tmp_path, capsys, monkeypatch):
+    # Hill's pattern is stated for a window whose bottom lies in [0, GUARD_BAND];
+    # a check that always complains shows which windows are checked
+    from chspectral import cli
+
+    calls = []
+
+    def complain(points, edges):
+        calls.append(len(points))
+        return ["always"]
+
+    monkeypatch.setattr(cli, "hill_problems", complain)
+    negative = write_config(tmp_path, {"smooth": {"kind": "const", "value": -1.0}}, "neg.json")
+    two_mode = write_config(tmp_path, TWO_MODE)
+    capsys.readouterr()
+    spectrum_rows(tmp_path, negative, "--lambda-min=-300", "--lambda-max=300")
+    spectrum_rows(tmp_path, two_mode, "--lambda-min", "20", "--lambda-max", "100")
+    assert calls == [] and capsys.readouterr().err == ""
+    for window in (("--lambda-min=0",), ()):
+        spectrum_rows(tmp_path, two_mode, *window)
+        assert capsys.readouterr().err == \
+            "chspectral: warning: the spectrum breaks Hill's pattern: always\n"
+    assert calls == [2, 2]
+
+
 def test_verify_writes_report_and_field_csvs(tmp_path):
     assert entry(["verify", "hamiltonian", "--out", str(tmp_path)]) == 0
     doc = json.loads((tmp_path / "verify_hamiltonian.json").read_text())

@@ -1,5 +1,6 @@
-"""Discriminant, auxiliary spectrum, band edges, gap counting."""
+"""Discriminant, auxiliary spectrum, band edges, Hill's pattern."""
 
+import dataclasses
 import math
 import time
 
@@ -14,7 +15,7 @@ from chspectral.floquet import (
     auxiliary_spectrum,
     discriminant,
     discriminant_sweep,
-    gap_check,
+    hill_problems,
     periodic_spectrum,
     refine_point,
     second_floquet,
@@ -406,13 +407,12 @@ def test_spectra_share_one_auxiliary_scan(monkeypatch, tmp_path):
     monkeypatch.setattr(floquet, "endpoint_column", counted_column)
     periodic_spectrum(two_mode(), 1e-6, 15.0, points=points)
     assert scans == [] and columns == []
-    gap_check(two_mode(), 1e-6, 15.0)
-    assert len(scans) == 1
+    # the CLI scans once, and its Hill's-pattern check adds no scan
     cfg = tmp_path / "m.json"
     cfg.write_text('{"smooth": {"kind": "const", "value": 1.0}}')
     cli.entry(["spectrum", "--config", str(cfg), "--lambda-max", "15", "--count", "1",
                "--out", str(tmp_path)])
-    assert len(scans) == 2
+    assert len(scans) == 1 and columns == []
 
 
 @pytest.mark.parametrize("cos,sin", [([0.25], [0.0, 0.1]), ([0.3], [])],
@@ -447,36 +447,89 @@ def test_auxiliary_spectrum_without_positive_part_fails_fast(spec):
     assert time.perf_counter() - start < 1.0
 
 
-def test_gap_check_constant_coefficient():
-    chk = gap_check(const_m(1.0), 1e-6, 50.0)
-    assert chk.passed
-    assert len(chk.gaps) == 2
-    for gap in chk.gaps:
-        assert gap.closed and not gap.cut
-        assert len(gap.mus) == 1
-    assert chk.ground == () and chk.stray == ()
+def window_spectrum(m, lam_max, lam_min=GUARD_BAND):
+    points = auxiliary_spectrum(m, lam_min, lam_max)
+    return points, periodic_spectrum(m, lam_min, lam_max, points=points)
 
 
-def test_gap_check_peakon_half_infinite_gap():
-    chk = gap_check(peakon(1.0, 0.3), 1e-6, 20.0)
-    assert chk.passed
-    assert len(chk.gaps) == 1
-    gap = chk.gaps[0]
-    assert gap.cut and not gap.closed
-    assert len(gap.mus) == 1
+def test_hill_pattern_constant_coefficient():
+    # both gaps closed: each point is a double edge
+    points, edges = window_spectrum(const_m(1.0), 50.0)
+    assert hill_problems(points, edges) == []
+    assert [e.kind for e in edges] == ["periodic", "antiperiodic", "periodic"]
+    assert [e.multiplicity for e in edges] == [1, 2, 2]
+    assert [e.lam for e in edges[1:]] == pytest.approx([p.mu for p in points], rel=1e-12)
 
 
-def test_gap_check_pinned_edge_counts_inside():
-    chk = gap_check(peakon(1.0, 0.5), 1e-6, 20.0)
-    assert chk.passed
-    assert len(chk.gaps[0].mus) == 1
+def test_hill_pattern_peakon_half_infinite_gap():
+    # one atom: two edges in all, and the one point lies above both, open to infinity
+    points, edges = window_spectrum(peakon(1.0, 0.3), 20.0)
+    assert hill_problems(points, edges) == []
+    assert [(e.kind, e.multiplicity) for e in edges] == [("periodic", 1), ("antiperiodic", 1)]
+    assert [p.index for p in points] == [1]
+    assert points[0].mu > edges[1].lam * (1.0 + floquet.EDGE_TOL)
+    wide = window_spectrum(peakon(1.0, 0.3), 1e4)[1]
+    assert [e.lam for e in wide] == pytest.approx([e.lam for e in edges], rel=1e-12)
 
 
-def test_gap_check_two_mode_window():
-    chk = gap_check(two_mode(), 1e-6, 15.0)
-    assert chk.passed
-    assert len(chk.gaps) == 1
-    assert not chk.gaps[0].closed
+def test_hill_pattern_pinned_edge_counts_inside():
+    points, edges = window_spectrum(peakon(1.0, 0.5), 20.0)
+    assert hill_problems(points, edges) == []
+    assert len(points) == 1 and len(edges) == 2
+    assert points[0].mu == pytest.approx(edges[1].lam, rel=floquet.EDGE_TOL)
+
+
+def test_hill_pattern_two_mode_window():
+    # gap 1 is open and cut by no window top: mu_1 lies between its edges
+    points, edges = window_spectrum(two_mode(), 15.0)
+    assert hill_problems(points, edges) == []
+    assert "".join(e.kind[0] for e in edges) == "paa"
+    assert [e.multiplicity for e in edges] == [1, 1, 1]
+    assert edges[1].lam < points[0].mu < edges[2].lam
+
+
+def test_hill_problems_names_each_break():
+    points, edges = window_spectrum(two_mode(), 100.0)
+    assert hill_problems(points, edges) == []
+    [count] = hill_problems(points, edges[:-2])
+    assert count.startswith(f"{len(edges) - 2} edges for {len(points)} points")
+    relabelled = dataclasses.replace(edges[1], kind="periodic")
+    [kinds] = hill_problems(points, [edges[0], relabelled, *edges[2:]])
+    assert kinds.startswith("edge kinds ppa")
+    shifted = [dataclasses.replace(p, index=p.index + 1) for p in points]
+    assert any(text.startswith("point indices [2, 3, 4]")
+               for text in hill_problems(shifted, edges))
+    # a point halfway up band 1 lies outside gap 1
+    stray = dataclasses.replace(points[0], mu=0.5 * (edges[0].lam + edges[1].lam))
+    [outside] = hill_problems([stray, *points[1:]], edges)
+    assert outside.startswith("mu_1 = ") and "outside gap 1" in outside
+
+
+# 14 atoms whose band [74.0171942, 74.0171989] is narrower than EDGE_TOL:
+# mu_14 = 74.0172209 lies within EDGE_TOL of gap 13's top edge, but in gap 14
+ATOMS14 = [(0.023772, 1.27984), (0.100482, 1.070363), (0.203613, 0.751434),
+           (0.271191, 1.351111), (0.33135, 1.008917), (0.40964, 1.330969),
+           (0.444179, 0.762728), (0.543585, 1.289451), (0.613189, 0.87113),
+           (0.698871, 1.131657), (0.759217, 1.457776), (0.823202, 1.030305),
+           (0.908731, 1.337113), (0.950525, 1.183404)]
+
+
+def test_hill_pattern_holds_beside_a_narrow_band():
+    q, p = np.array(ATOMS14).T
+    m = make_coefficient({"atoms": [{"q": a, "p": b} for a, b in ATOMS14]})
+    points, edges = window_spectrum(m, 81.42)
+    assert hill_problems(points, edges) == []
+    # between atoms psi'' = psi/4, so the edges are the reciprocal eigenvalues
+    # of S G S, S = diag(sqrt p), with the periodic and antiperiodic Green's
+    # functions of -D^2 + 1/4 at r = |q_i - q_j|
+    r, s = np.abs(q[:, None] - q[None, :]), np.sqrt(p)
+    greens = (np.cosh((r - 0.5) / 2.0) / math.sinh(0.25),
+              np.sinh((0.5 - r) / 2.0) / math.cosh(0.25))
+    want = np.sort([1.0 / v for g in greens
+                    for v in np.linalg.eigvalsh(s[:, None] * g * s[None, :])])
+    got = [e.lam for e in edges for _ in range(e.multiplicity)]
+    assert len(got) == 28 and [pt.index for pt in points] == list(range(1, 15))
+    np.testing.assert_allclose(got, want, rtol=1e-11)
 
 
 @pytest.mark.xfail(strict=True, reason=(
@@ -484,7 +537,7 @@ def test_gap_check_two_mode_window():
     "4096-step monodromy's det U - 1 (-6e-11..-8e-10) exceeds the gap heights, "
     "so |Delta(mu)| < 1 at points that are not degenerate and their edges "
     "vanish; 27 edges where Hill's pattern needs 41"))
-def test_gap_check_two_mode_up_to_4000():
-    check = gap_check(two_mode(), GUARD_BAND, 4000.0)
-    assert sum(e.multiplicity for e in check.edges) == 41
-    assert check.passed and check.stray == ()
+def test_hill_pattern_two_mode_up_to_4000():
+    points, edges = window_spectrum(two_mode(), 4000.0)
+    assert sum(e.multiplicity for e in edges) == 41
+    assert hill_problems(points, edges) == []
