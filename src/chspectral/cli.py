@@ -56,48 +56,50 @@ def build_parser():
     shared.add_argument("--config", metavar="PATH",
                         help="coefficient spec (JSON); verify runs the "
                              "built-in corpus when omitted")
-    shared.add_argument("--n", type=int, default=256,
-                        help="grid size for field sampling (power of two)")
     shared.add_argument("--steps", type=int, default=DEFAULT_STEPS,
                         help="integrator steps per period (power of two)")
-    shared.add_argument("--lambda-min", dest="lambda_min", type=float,
-                        default=None, help="lower edge of the spectral window")
-    shared.add_argument("--lambda-max", dest="lambda_max", type=float,
-                        default=None, help="upper edge of the spectral window")
     shared.add_argument("--count", type=int, default=None,
                         help="sweep samples / max eigenvalue count")
-    shared.add_argument("--eps", type=float, default=1e-5,
-                        help="step for finite-difference checks")
     shared.add_argument("--out", metavar="DIR",
                         help="write artifacts here instead of stdout")
+    window = argparse.ArgumentParser(add_help=False)
+    window.add_argument("--lambda-min", dest="lambda_min", type=float,
+                        default=None, help="lower edge of the spectral window")
+    window.add_argument("--lambda-max", dest="lambda_max", type=float,
+                        default=None, help="upper edge of the spectral window")
+    checks = argparse.ArgumentParser(add_help=False)
+    checks.add_argument("--n", type=int, default=256,
+                        help="grid size for field sampling (power of two)")
+    checks.add_argument("--eps", type=float, default=1e-5,
+                        help="step for finite-difference checks")
 
     parser = argparse.ArgumentParser(
         prog="chspectral",
         description="Floquet spectra, spectral gradients, and canonical "
                     "conjugacy checks for a periodic string with point masses.")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("discriminant", parents=[shared],
+    sub.add_parser("discriminant", parents=[shared, window],
                    help="CSV sweep of the Floquet discriminant")
-    sub.add_parser("spectrum", parents=[shared],
+    sub.add_parser("spectrum", parents=[shared, window],
                    help="CSV of band edges and auxiliary eigenvalues")
-    verify = sub.add_parser("verify", parents=[shared],
+    verify = sub.add_parser("verify", parents=[shared, checks],
                             help="run a verification suite, emit a JSON report")
     verify.add_argument("suite", choices=SUITE_NAMES + ("all",))
     return parser
 
 
 def _validated(args):
-    for flag, value in (("--lambda-min", args.lambda_min),
-                        ("--lambda-max", args.lambda_max), ("--eps", args.eps)):
-        if value is not None and not math.isfinite(value):
-            _fail(f"{flag} must be finite, got {value}")
-    if not _power_of_two(args.n):
-        _fail(f"--n must be a positive power of two, got {args.n}")
-    if not _power_of_two(args.steps):
-        _fail(f"--steps must be a positive power of two, got {args.steps}")
+    """Check the values of the flags the command took; it parses no others."""
+    flags = {"--" + name.replace("_", "-"): value for name, value in vars(args).items()}
+    for flag in ("--lambda-min", "--lambda-max", "--eps"):
+        if flags.get(flag) is not None and not math.isfinite(flags[flag]):
+            _fail(f"{flag} must be finite, got {flags[flag]}")
+    for flag in ("--n", "--steps"):
+        if flag in flags and not _power_of_two(flags[flag]):
+            _fail(f"{flag} must be a positive power of two, got {flags[flag]}")
     if args.count is not None and args.count < 1:
         _fail(f"--count must be positive, got {args.count}")
-    if args.eps <= 0.0:
+    if flags.get("--eps", 1.0) <= 0.0:
         _fail(f"--eps must be positive, got {args.eps}")
 
 

@@ -191,19 +191,17 @@ def second_floquet(m, point):
     return t1, t2, t1.combine(t2, b), b
 
 
-def periodic_spectrum(m, lam_min, lam_max, steps=DEFAULT_STEPS, points=None):
+def periodic_spectrum(m, lam_min, lam_max, steps=DEFAULT_STEPS, *, points):
     """Band edges (Delta = +-1) in a window, closed gaps counted twice.
 
-    points is the window's full auxiliary set at the same steps, computed
-    when not given.  Each gap holds one point, so between consecutive
+    points is the window's full auxiliary set at the same steps, from
+    auxiliary_spectrum.  Each gap holds one point, so between consecutive
     anchors (window ends, lambda = 0, points) Delta - 1 and Delta + 1 each
     change sign at most once.  A degenerate point with U = +-I closes its
     gap: a double edge.  Any other degenerate point may sit on an edge,
     where the sign of Delta -+ 1 is rounding, so two anchors EDGE_TOL to
     either side replace it; when neither lies in its gap, mu is a double edge.
     """
-    if points is None:
-        points = auxiliary_spectrum(m, lam_min=lam_min, lam_max=lam_max, steps=steps)
     # Delta at every lambda met so far; a point's delta is Delta at its mu, bit for bit
     known = {pt.mu: pt.delta for pt in points if pt.steps == steps}
 

@@ -13,7 +13,9 @@ builds its point's second Floquet solutions, and from them its gradient
 bundle, once each, on first read, at the point's own step count.  run_suite
 makes one such list and hands it to every suite it runs, so the suites share
 every spectrum, dense pair and bundle, and nothing a run does not read is
-built; a suite called without points makes its own list.
+built.  run_suite is the only way into the suites: they take one signature,
+(members, points, strict, n, eps, steps), and read their tolerances from
+_TOLERANCES.
 """
 
 from __future__ import annotations
@@ -37,8 +39,9 @@ from .shooting import DEFAULT_STEPS, solve_fundamental
 from .variations import gradient_bundle, gradient_table, verify_gradients
 
 
-def _members(members):
-    return default_corpus() if members is None else list(members)
+# Each suite's tolerance.  The gradients check's is the one at n >= 256; a
+# coarser grid multiplies it by (256 / n)^2, as its hats smear by O(n^-2).
+_TOLERANCES = {"lemma": 1e-7, "gradients": 5e-4, "theorem": 1e-5, "hamiltonian": 1e-6}
 
 
 class _Point:
@@ -106,13 +109,12 @@ def _clear_sites(m, n):
     return np.nonzero(keep)[0]
 
 
-def suite_lemma(members=None, count=3, steps=DEFAULT_STEPS, tol=1e-7, strict=False,
-                points=None):
+def _lemma(members, points, strict, n, eps, steps):
+    tol = _TOLERANCES["lemma"]
     report = VerificationReport(
         identity="lambda*J(phi*psi) = K(phi*psi) for solution products",
         n=steps, tolerance=tol)
-    members = _members(members)
-    for member, spectrum in zip(members, points or _spectra(members, count, steps)):
+    for member, spectrum in zip(members, points):
         if _weighted_atoms(member.m):
             _skip(report, strict,
                   f"{member.name}: delta atoms put solution products outside the brackets")
@@ -134,15 +136,14 @@ def suite_lemma(members=None, count=3, steps=DEFAULT_STEPS, tol=1e-7, strict=Fal
     return report
 
 
-def suite_gradients(members=None, n=256, eps=1e-5, count=3,
-                    steps=DEFAULT_STEPS, tol=5e-4, strict=False, points=None):
+def _gradients(members, points, strict, n, eps, steps):
+    tol = _TOLERANCES["gradients"] * max(1, (256 / n) ** 2)
     report = VerificationReport(
         identity="analytic gradients of mu and log|rho| match central differences",
         n=n, tolerance=tol)
     if steps % n:
         raise ValueError("steps must be a multiple of n for site-aligned hats")
-    members = _members(members)
-    for member, spectrum in zip(members, points or _spectra(members, count, steps)):
+    for member, spectrum in zip(members, points):
         rec = next((r for r in spectrum() if not r.point.degenerate), None)
         if rec is None:
             _skip(report, strict, f"{member.name}: no non-degenerate points")
@@ -168,10 +169,10 @@ def _scaled_block_deviations(mat, mus):
             float(np.max(dev[k:, :k])), float(np.max(dev[k:, k:]))]
 
 
-def _theorem_suite(identity, which, members, count, steps, tol, strict, points):
+def _theorem(identity, which, members, points, strict, n, eps, steps):
+    tol = _TOLERANCES["theorem"]
     report = VerificationReport(identity=identity, n=steps, tolerance=tol)
-    members = _members(members)
-    for member, spectrum in zip(members, points or _spectra(members, count, steps)):
+    for member, spectrum in zip(members, points):
         if _weighted_atoms(member.m):
             _skip(report, strict, f"{member.name}: brackets need a smooth coefficient")
             continue
@@ -194,25 +195,12 @@ def _theorem_suite(identity, which, members, count, steps, tol, strict, points):
     return report
 
 
-def suite_theorem1(members=None, count=3, steps=DEFAULT_STEPS, tol=1e-5, strict=False,
-                   points=None):
-    return _theorem_suite(
-        "(mu_i, f_i) are canonically conjugate under the first bracket", "first",
-        members, count, steps, tol, strict, points)
-
-
-def suite_theorem2(members=None, count=3, steps=DEFAULT_STEPS, tol=1e-5, strict=False,
-                   points=None):
-    return _theorem_suite(
-        "(mu_i, g_i) are canonically conjugate under the second bracket", "second",
-        members, count, steps, tol, strict, points)
-
-
-def suite_hamiltonian(members=None, n=256, tol=1e-6, strict=False):
+def _hamiltonian(members, points, strict, n, eps, steps):
+    tol = _TOLERANCES["hamiltonian"]
     report = VerificationReport(
         identity="J dH2/dm = K dH3/dm pointwise",
         n=n, tolerance=tol)
-    for member in _members(members):
+    for member in members:
         if member.m.has_atoms:
             _skip(report, strict,
                   f"{member.name}: energy functionals need a smooth coefficient")
@@ -233,13 +221,14 @@ def suite_hamiltonian(members=None, n=256, tol=1e-6, strict=False):
     return report
 
 
-# name -> (suite, the run_suite settings it takes)
 _SUITES = {
-    "lemma": (suite_lemma, ("count", "steps", "points")),
-    "gradients": (suite_gradients, ("n", "eps", "count", "steps", "points")),
-    "theorem1": (suite_theorem1, ("count", "steps", "points")),
-    "theorem2": (suite_theorem2, ("count", "steps", "points")),
-    "hamiltonian": (suite_hamiltonian, ("n",)),
+    "lemma": _lemma,
+    "gradients": _gradients,
+    "theorem1": functools.partial(
+        _theorem, "(mu_i, f_i) are canonically conjugate under the first bracket", "first"),
+    "theorem2": functools.partial(
+        _theorem, "(mu_i, g_i) are canonically conjugate under the second bracket", "second"),
+    "hamiltonian": _hamiltonian,
 }
 SUITE_NAMES = tuple(_SUITES)
 
@@ -248,17 +237,14 @@ def run_suite(name, members=None, strict=False, n=256, eps=1e-5,
               count=3, steps=DEFAULT_STEPS):
     """Run one suite by CLI name, or every suite in order for 'all'.
 
-    Returns [(name, report), ...].  The suites share one list of lazy
-    per-member spectra: a member's auxiliary points, and each point's
-    solutions and gradient bundle, are built once, when a suite first reads
-    them.
+    Returns [(name, report), ...].  members defaults to the built-in
+    corpus.  The suites share one list of lazy per-member spectra: a
+    member's auxiliary points, and each point's solutions and gradient
+    bundle, are built once, when a suite first reads them.
     """
     if name != "all" and name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}")
     names = SUITE_NAMES if name == "all" else (name,)
-    members = _members(members)
-    settings = {"n": n, "eps": eps, "count": count, "steps": steps,
-                "points": _spectra(members, count, steps)}
-    return [(s, _SUITES[s][0](members, strict=strict,
-                              **{k: settings[k] for k in _SUITES[s][1]}))
-            for s in names]
+    members = default_corpus() if members is None else list(members)
+    points = _spectra(members, count, steps)
+    return [(s, _SUITES[s](members, points, strict, n, eps, steps)) for s in names]

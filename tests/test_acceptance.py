@@ -24,7 +24,7 @@ from chspectral.floquet import (
     second_floquet,
 )
 from chspectral.shooting import DEFAULT_STEPS, fundamental_matrix
-from chspectral.suites import suite_gradients, suite_lemma, suite_theorem1, suite_theorem2
+from chspectral.suites import run_suite
 from chspectral.variations import gradient_bundle, positivity_residual
 from chspectral.hamiltonians import bihamiltonian_residual
 
@@ -81,7 +81,8 @@ def test_03_single_atom_closed_forms(corpus_points):
 
 
 def test_04_product_identity_on_smooth_members():
-    report = suite_lemma([CORPUS[name] for name in SMOOTH], count=3, tol=1e-7)
+    report = run_suite("lemma", members=[CORPUS[name] for name in SMOOTH], count=3)[0][1]
+    assert report.tolerance == 1e-7
     worst = max(res / max(scale, 1.0) for res, scale in report.residuals)
     print(f"max residual / scale = {worst:.3e} over {len(report.residuals)} "
           f"products (tolerance 1e-7)")
@@ -89,7 +90,8 @@ def test_04_product_identity_on_smooth_members():
 
 
 def test_05_gradients_match_central_differences():
-    report = suite_gradients([CORPUS["two_mode"]], n=256, eps=1e-5, tol=5e-4)
+    report = run_suite("gradients", members=[CORPUS["two_mode"]], n=256, eps=1e-5)[0][1]
+    assert report.tolerance == 5e-4
     print(f"rel errors (mu, log rho, f, g) = "
           f"{['%.2e' % r for r in report.residuals[0]]} (tolerance 5e-4)")
     assert report.passed
@@ -106,14 +108,16 @@ def test_06_positivity_identity_everywhere(corpus_points):
 
 
 def test_07_first_bracket_conjugacy():
-    report = suite_theorem1([CORPUS["two_mode"]], count=3, tol=1e-5)
+    report = run_suite("theorem1", members=[CORPUS["two_mode"]], count=3)[0][1]
+    assert report.tolerance == 1e-5
     print(f"scaled block deviations + pairing = "
           f"{['%.2e' % r for r in report.residuals[0]]} (tolerance 1e-5)")
     assert report.passed
 
 
 def test_08_second_bracket_conjugacy():
-    report = suite_theorem2([CORPUS["two_mode"]], count=3, tol=1e-5)
+    report = run_suite("theorem2", members=[CORPUS["two_mode"]], count=3)[0][1]
+    assert report.tolerance == 1e-5
     print(f"scaled block deviations = "
           f"{['%.2e' % r for r in report.residuals[0]]} (tolerance 1e-5)")
     assert report.passed

@@ -273,10 +273,15 @@ def test_second_floquet_jordan_rejected(monkeypatch):
         second_floquet(m, pt)
 
 
+def window_spectrum(m, lam_max, lam_min=GUARD_BAND):
+    points = auxiliary_spectrum(m, lam_min, lam_max)
+    return points, periodic_spectrum(m, lam_min, lam_max, points=points)
+
+
 def test_periodic_spectrum_constant_coefficient():
     # Delta = cos(sqrt(lambda - 1/4)): simple edge at 1/4, tangencies at
     # 1/4 + (n pi)^2 where every gap closes
-    edges = periodic_spectrum(const_m(1.0), 1e-6, 50.0)
+    _, edges = window_spectrum(const_m(1.0), 50.0)
     lams = [e.lam for e in edges]
     kinds = [e.kind for e in edges]
     mults = [e.multiplicity for e in edges]
@@ -288,7 +293,7 @@ def test_periodic_spectrum_constant_coefficient():
 
 
 def test_periodic_spectrum_peakon():
-    edges = periodic_spectrum(peakon(1.0, 0.3), 1e-6, 20.0)
+    _, edges = window_spectrum(peakon(1.0, 0.3), 20.0)
     assert len(edges) == 2
     assert edges[0].kind == "periodic"
     assert edges[0].lam == pytest.approx(math.tanh(0.25), rel=1e-10)
@@ -301,7 +306,7 @@ def test_periodic_spectrum_near_edge_auxiliary_point():
     # first gap of the two-mode coefficient is wide open, but mu sits within
     # about 1e-6 of its upper edge; edge-tolerant counting must still place it
     m = two_mode()
-    edges = periodic_spectrum(m, 1e-6, 15.0)
+    _, edges = window_spectrum(m, 15.0)
     assert [e.multiplicity for e in edges] == [1, 1, 1]
     assert [e.kind for e in edges] == ["periodic", "antiperiodic", "antiperiodic"]
     lo, hi = edges[1].lam, edges[2].lam
@@ -322,12 +327,12 @@ def five_atoms():
 
 
 def test_periodic_spectrum_keeps_close_edges_of_both_kinds():
-    edges = periodic_spectrum(five_atoms(), 1100.0, 1200.0)
+    _, edges = window_spectrum(five_atoms(), 1200.0, lam_min=1100.0)
     assert [e.kind for e in edges] == ["periodic", "antiperiodic"]
     assert edges[0].lam == pytest.approx(1173.3637247263, abs=1e-9)
     assert edges[1].lam == pytest.approx(1173.3637249907, abs=1e-9)
     # Delta is a polynomial of degree 5: each of Delta = +-1 has five roots
-    edges = periodic_spectrum(five_atoms(), 1e-6, 1200.0)
+    _, edges = window_spectrum(five_atoms(), 1200.0)
     assert sum(e.multiplicity for e in edges) == 10
 
 
@@ -341,8 +346,8 @@ def hill_kinds(edges):
 def test_periodic_spectrum_cosine_keeps_the_narrow_sixth_gap():
     # gap 6 peaks at Delta - 1 of about 1e-7 and its mu sits on the lower
     # edge (a Jordan block); the partner edge must not be dropped
-    edges = periodic_spectrum(make_coefficient({"smooth": {
-        "kind": "fourier", "a0": 1.0, "cos": [0.3]}}), 1e-6, 420.0)
+    _, edges = window_spectrum(make_coefficient({"smooth": {
+        "kind": "fourier", "a0": 1.0, "cos": [0.3]}}), 420.0)
     kinds, want = hill_kinds(edges)
     assert len(edges) == 13 and kinds == want
     assert [e.multiplicity for e in edges] == [1] * 13
@@ -355,7 +360,7 @@ def test_periodic_spectrum_closed_gaps_are_the_auxiliary_points():
     points = auxiliary_spectrum(m, lam_min=1e-6, lam_max=100.0)
     edges = periodic_spectrum(m, 1e-6, 100.0, points=points)
     assert [(e.lam, e.multiplicity) for e in edges[1:]] == [(p.mu, 2) for p in points]
-    assert [e.lam for e in periodic_spectrum(m, 1e-6, 100.0)] == [e.lam for e in edges]
+    assert [e.lam for e in window_spectrum(m, 100.0)[1]] == [e.lam for e in edges]
 
 
 def test_periodic_spectrum_point_inside_an_open_gap_is_not_degenerate():
@@ -377,7 +382,7 @@ def test_periodic_spectrum_point_inside_an_open_gap_is_not_degenerate():
 
 def test_periodic_spectrum_sign_indefinite_member_straddling_zero():
     m = make_coefficient({"smooth": {"kind": "fourier", "a0": 0.2, "cos": [1.0]}})
-    edges = periodic_spectrum(m, -300.0, 300.0)
+    _, edges = window_spectrum(m, 300.0, lam_min=-300.0)
     want = [-243.88788633940365, -243.7383706934033, -27.17144826784753,
             -18.319393220345795, 1.1642029200959867, 13.680673079578607,
             96.27862991356348, 100.92314218353344, 279.4279745434218,
@@ -445,11 +450,6 @@ def test_auxiliary_spectrum_without_positive_part_fails_fast(spec):
     with pytest.raises(ValueError, match="no positive part"):
         auxiliary_spectrum(make_coefficient(spec), count=2)
     assert time.perf_counter() - start < 1.0
-
-
-def window_spectrum(m, lam_max, lam_min=GUARD_BAND):
-    points = auxiliary_spectrum(m, lam_min, lam_max)
-    return points, periodic_spectrum(m, lam_min, lam_max, points=points)
 
 
 def test_hill_pattern_constant_coefficient():

@@ -6,19 +6,17 @@ import pytest
 from chspectral import floquet, shooting, suites, variations
 from chspectral.coefficient import PeriodicCoefficient, make_coefficient
 from chspectral.corpus import CorpusMember, default_corpus
-from chspectral.suites import (
-    SUITE_NAMES,
-    run_suite,
-    suite_gradients,
-    suite_hamiltonian,
-    suite_lemma,
-    suite_theorem1,
-    suite_theorem2,
-)
+from chspectral.suites import SUITE_NAMES, run_suite
 
 
 def member(name):
     return next(mb for mb in default_corpus() if mb.name == name)
+
+
+def report_of(suite, members, **settings):
+    """The report of one suite run on the given members."""
+    [(_, report)] = run_suite(suite, members=members, **settings)
+    return report
 
 
 def test_corpus_has_expected_members():
@@ -33,63 +31,74 @@ def test_corpus_has_expected_members():
 def test_lemma_suite_counts_pairs():
     # const carries a scalar period map (y duplicates y1: 3 pairs per point),
     # two_mode has a genuine second Floquet solution (6 pairs per point)
-    report = suite_lemma([member("const"), member("two_mode")], count=1)
+    report = report_of("lemma", [member("const"), member("two_mode")], count=1)
     assert report.passed
     assert len(report.residuals) == 3 + 6
     assert all(len(row) == 2 for row in report.residuals)
 
 
 def test_lemma_suite_skips_atoms_in_corpus_mode():
-    report = suite_lemma([member("peakon_offset")], count=1)
+    report = report_of("lemma", [member("peakon_offset")], count=1)
     assert report.passed
     assert report.residuals == []
     assert "peakon_offset" in report.notes[0]
 
 
 def test_lemma_suite_strict_fails_on_atoms():
-    report = suite_lemma([member("peakon_offset")], count=1, strict=True)
+    report = report_of("lemma", [member("peakon_offset")], count=1, strict=True)
     assert not report.passed
 
 
 def test_gradients_suite_skip_note_on_degenerate_spectrum():
-    report = suite_gradients([member("const")], n=64, steps=1024)
+    report = report_of("gradients", [member("const")], n=64, steps=1024)
     assert report.passed and report.residuals == []
     assert report.notes == ["const: no non-degenerate points"]
-    strict = suite_gradients([member("const")], n=64, steps=1024, strict=True)
+    strict = report_of("gradients", [member("const")], n=64, steps=1024, strict=True)
     assert not strict.passed
 
 
 def test_gradients_suite_runs_on_peakon_with_kink_clearance():
-    # coarse grid keeps this test quick; hat smearing costs accuracy there
-    report = suite_gradients([member("peakon_offset")], n=64,
-                             steps=2048, tol=5e-3)
+    # coarse grid keeps this test quick; hat smearing costs accuracy there,
+    # and the suite's tolerance at n = 64 is 8e-3, so 5e-3 is checked here
+    report = report_of("gradients", [member("peakon_offset")], n=64, steps=2048)
     assert report.passed
     assert len(report.residuals) == 1 and len(report.residuals[0]) == 4
+    assert max(report.residuals[0]) <= 5e-3
+
+
+@pytest.mark.parametrize("n, tol", [(64, 8e-3), (32, 3.2e-2)])
+def test_gradients_tolerance_follows_the_grid(n, tol):
+    # the hat-smearing bias grows as n^-2 below n = 256 (two_mode: 8.6e-4 at
+    # n = 64, 3.4e-3 at n = 32), and so does the tolerance, 5e-4 (256 / n)^2
+    report = report_of("gradients", [member("two_mode")], n=n)
+    assert report.tolerance == tol
+    assert report.passed and len(report.residuals) == 1
+    assert max(report.residuals[0]) > 5e-4
 
 
 def test_gradients_suite_rejects_misaligned_steps():
     with pytest.raises(ValueError):
-        suite_gradients([member("two_mode")], n=64, steps=1000)
+        run_suite("gradients", members=[member("two_mode")], n=64, steps=1000)
 
 
 def test_theorem_suites_pass_on_two_mode():
     mem = [member("two_mode")]
-    t1 = suite_theorem1(mem, count=2, steps=2048)
+    t1 = report_of("theorem1", mem, count=2, steps=2048)
     assert t1.passed and len(t1.residuals) == 1 and len(t1.residuals[0]) == 5
-    t2 = suite_theorem2(mem, count=2, steps=2048)
+    t2 = report_of("theorem2", mem, count=2, steps=2048)
     assert t2.passed and len(t2.residuals) == 1 and len(t2.residuals[0]) == 4
 
 
 def test_theorem_suite_skips_jordan_member():
-    report = suite_theorem1([member("cosine")], count=1)
+    report = report_of("theorem1", [member("cosine")], count=1)
     assert report.passed and report.residuals == []
     assert "cosine" in report.notes[0]
 
 
 def test_hamiltonian_suite_rows_and_strict_atoms():
-    report = suite_hamiltonian([member("const"), member("two_mode")])
+    report = report_of("hamiltonian", [member("const"), member("two_mode")])
     assert report.passed and len(report.residuals) == 2
-    strict = suite_hamiltonian([member("peakon_centered")], strict=True)
+    strict = report_of("hamiltonian", [member("peakon_centered")], strict=True)
     assert not strict.passed
 
 
@@ -98,11 +107,11 @@ def test_hamiltonian_suite_skips_samples_members():
     # O(n^-2) tail would fail the 1e-6 tolerance at n = 256
     spline = CorpusMember("spline", make_coefficient(
         {"smooth": {"kind": "samples", "values": [1.2, 1.1, 0.9, 0.8, 0.9, 1.1]}}))
-    report = suite_hamiltonian([member("two_mode"), spline])
+    report = report_of("hamiltonian", [member("two_mode"), spline])
     assert report.passed and len(report.residuals) == 1
     assert list(report.tables) == ["hamiltonian_two_mode"]
     assert report.notes[0].startswith("spline: a spline is not band-limited")
-    strict = suite_hamiltonian([spline], strict=True)
+    strict = report_of("hamiltonian", [spline], strict=True)
     assert not strict.passed and strict.residuals == [] and strict.tolerance == 1e-6
     assert strict.notes == report.notes
 
@@ -144,7 +153,7 @@ def test_lemma_integrates_one_dense_pair_per_point(monkeypatch):
     pts = suites._spectra(mems, count=1, steps=1024)
     mus = [spectrum()[0].point.mu for spectrum in pts]
     calls = count_calls(monkeypatch, [floquet, suites], "solve_fundamental")
-    report = suite_lemma(mems, count=1, steps=1024, points=pts)
+    report = suites._lemma(mems, pts, False, 256, 1e-5, 1024)
     assert report.passed and len(report.residuals) == 3 + 3 + 6
     assert [args[1] for args in calls] == mus
 
@@ -192,7 +201,7 @@ def test_strict_suites_read_m_from_the_dense_pairs(monkeypatch):
 
 
 def test_report_schema_keys():
-    report = suite_hamiltonian([member("const")])
+    report = report_of("hamiltonian", [member("const")])
     doc = report.to_dict()
     assert list(doc) == ["identity", "n", "residuals", "tolerance", "pass"]
     assert doc["pass"] is True

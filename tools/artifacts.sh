@@ -45,6 +45,8 @@ run spectrum --config configs/two_mode.json --lambda-min 1.5e5 --lambda-max 1.55
   --out "$out/spectrum_two_mode_150000"
 run verify all --config configs/two_mode.json --out "$out/verify_two_mode"
 run verify gradients --config configs/peakon_offset.json --out "$out/verify_peakon_offset"
+# a grid below 256, where the gradient tolerance grows as (256 / n)^2
+run verify gradients --config configs/two_mode.json --n 64 --out "$out/verify_two_mode_n64"
 run spectrum --config "$tmp/negative.json" --lambda-min=-300 --lambda-max 300 \
   --out "$out/spectrum_negative"
 for stem in atom_at_zero atoms16 samples16 two_mode16; do
