@@ -361,11 +361,13 @@ def test_module_invocation(tmp_path):
     assert proc.stdout.startswith("lambda,delta")
 
 
-def test_import_path_loads_no_scipy():
-    # scipy is imported only when a samples coefficient builds its spline
+def test_import_path_loads_no_scipy(tmp_path):
+    # scipy is imported only when a samples coefficient builds its spline;
+    # a purely atomic spectrum (Green's matrices, numpy.linalg) needs none
     configs = os.path.join(os.path.dirname(os.path.dirname(__file__)), "configs")
     paths = sorted(os.path.join(configs, name) for name in os.listdir(configs))
     assert len(paths) >= 5
+    peakon = os.path.join(configs, "peakon_offset.json")
     proc = fresh_python(
         "-c",
         "import sys\n"
@@ -373,9 +375,11 @@ def test_import_path_loads_no_scipy():
         "from chspectral import load_coefficient, make_coefficient\n"
         "for path in sys.argv[1:]:\n"
         "    load_coefficient(path)\n"
+        f"chspectral.cli.entry(['spectrum', '--config', {peakon!r}, '--out', {str(tmp_path)!r}])\n"
         "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))\n"
         "make_coefficient({'smooth': {'kind': 'samples', 'values': [1.0, 1.2, 1.0, 0.8]}})\n"
         "print('scipy.interpolate' in sys.modules)\n",
         *paths)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["[]", "True"]
+    assert (tmp_path / "spectrum.csv").read_text().startswith("kind,index,lambda,rho,degenerate\n")

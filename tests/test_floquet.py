@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import random
 import time
 
 import numpy as np
@@ -20,7 +21,7 @@ from chspectral.floquet import (
     refine_point,
     second_floquet,
 )
-from chspectral.shooting import trajectory_wronskian
+from chspectral.shooting import trajectory_wronskian, zero_count
 
 
 def const_m(c):
@@ -541,3 +542,231 @@ def test_hill_pattern_two_mode_up_to_4000():
     points, edges = window_spectrum(two_mode(), 4000.0)
     assert sum(e.multiplicity for e in edges) == 41
     assert hill_problems(points, edges) == []
+
+
+# ---------------------------------------------------------------------------
+# purely atomic m: the Green's-matrix spectra against independent oracles
+
+def atoms_m(pairs):
+    return make_coefficient({"atoms": [{"q": q, "p": p} for q, p in pairs]})
+
+
+# seed-1 atoms16_0 of the peakon_spectra benchmark workload, written out
+ATOMS16_0 = [(0.054947, 1.220337), (0.112156, 0.574942), (0.137412, 0.951089),
+             (0.21982, 1.145802), (0.278559, 0.928698), (0.338694, 0.717005),
+             (0.393148, 0.6866), (0.478924, 1.453969), (0.54209, 0.635327),
+             (0.618089, 1.323877), (0.64739, 0.520061), (0.69534, 0.769764),
+             (0.788637, 0.625196), (0.859288, 1.111637), (0.886389, 1.315816),
+             (0.961354, 0.897268)]
+FIVE_ATOMS = [(a.q, a.p) for a in five_atoms().atoms]
+INDEFINITE = [(0.1, 1.0), (0.35, -0.7), (0.6, 1.3), (0.8, -0.4)]
+ATOMIC_WINDOWS = {"atoms16_0": (ATOMS16_0, GUARD_BAND, 151.9),
+                  "five_atoms": (FIVE_ATOMS, GUARD_BAND, 1200.0),
+                  "indefinite": (INDEFINITE, -200.0, 200.0)}
+
+
+def atomic_window(name):
+    pairs, lo, hi = ATOMIC_WINDOWS[name]
+    m = atoms_m(pairs)
+    points = auxiliary_spectrum(m, lo, hi)
+    return pairs, m, points, periodic_spectrum(m, lo, hi, points=points)
+
+
+def exact_monodromy(pairs, lam):
+    """U(1, lam) of the atoms (q, p) as a 60-digit transfer product: exact
+    stretches of psi'' = psi/4 between the atoms, a jump at each."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(60):
+        lam = mp.mpf(lam)
+        y1, y2, dy1, dy2 = mp.mpf(1), mp.mpf(0), mp.mpf(0), mp.mpf(1)
+        pos = mp.mpf(0)
+        for q, p in pairs + [(1.0, 0.0)]:
+            h = mp.mpf(q) - pos
+            c, s = mp.cosh(h / 2), mp.sinh(h / 2)
+            y1, dy1 = c * y1 + 2 * s * dy1, s / 2 * y1 + c * dy1
+            y2, dy2 = c * y2 + 2 * s * dy2, s / 2 * y2 + c * dy2
+            dy1, dy2 = dy1 - lam * mp.mpf(p) * y1, dy2 - lam * mp.mpf(p) * y2
+            pos = mp.mpf(q)
+        return y1, y2, dy1, dy2
+
+
+def exact_root(pairs, f, x0):
+    """The root of f(U(1, lam)) next to x0, at 60 digits."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(60):
+        return mp.findroot(lambda lam: f(*exact_monodromy(pairs, lam)), mp.mpf(x0),
+                           solver="secant", tol=mp.mpf(10) ** -50)
+
+
+@pytest.mark.parametrize("name", list(ATOMIC_WINDOWS))
+def test_atomic_spectra_match_a_60_digit_transfer_product(name):
+    pairs, _, points, edges = atomic_window(name)
+    for pt in points:
+        mu = exact_root(pairs, lambda y1, y2, dy1, dy2: y2, pt.mu)
+        assert abs(pt.mu - float(mu)) <= 1e-12 * abs(float(mu)), pt
+    for e in edges:
+        t = 1 if e.kind == "periodic" else -1
+        lam = exact_root(pairs, lambda y1, y2, dy1, dy2: (y1 + dy2) / 2 - t, e.lam)
+        assert abs(e.lam - float(lam)) <= 1e-12 * abs(float(lam)), e
+
+
+def test_the_secant_step_mends_what_the_eigenvalues_lose():
+    # six atoms 1e-4 apart: the top roots near 3e4 come out of eigvalsh off by
+    # up to 3.5e-11 relative (periodic); after the step the worst measured
+    # is 3.3e-16
+    pairs = [(0.3 + 1e-4 * k, 1.0) for k in range(6)] + [(0.7, 0.5)]
+    m = atoms_m(pairs)
+    points = auxiliary_spectrum(m, GUARD_BAND, 4e4)
+    edges = periodic_spectrum(m, GUARD_BAND, 4e4, points=points)
+    assert len(points) == 7 and len(edges) == 14 and hill_problems(points, edges) == []
+    for pt in points[-3:]:
+        mu = exact_root(pairs, lambda y1, y2, dy1, dy2: y2, pt.mu)
+        assert abs(pt.mu - float(mu)) <= 2e-15 * abs(float(mu)), pt
+    for e in edges[-6:]:
+        t = 1 if e.kind == "periodic" else -1
+        lam = exact_root(pairs, lambda y1, y2, dy1, dy2: (y1 + dy2) / 2 - t, e.lam)
+        assert abs(e.lam - float(lam)) <= 2e-15 * abs(float(lam)), e
+
+
+def test_atomic_rho_matches_a_60_digit_transfer_product():
+    # at mu, y1(1) y2'(1) = 1 and the smaller entry loses its digits: with
+    # rho = y2'(1) alone, mu_16 of atoms16_0 got rho = -3.8e-7 for 9.0e-8;
+    # measured worst relative error with the rule: 5.2e-9 (mu_15)
+    pairs, _, points, _ = atomic_window("atoms16_0")
+    assert len(points) == 16
+    for pt in points:
+        mu = exact_root(pairs, lambda y1, y2, dy1, dy2: y2, pt.mu)
+        rho = float(exact_monodromy(pairs, mu)[3])
+        assert abs(pt.rho - rho) <= 1e-8 * abs(rho), (pt.index, pt.rho, rho)
+        assert pt.rho_tilde == 1.0 / pt.rho
+    assert points[-1].rho == pytest.approx(8.98578533598489e-08, rel=1e-12)
+
+
+@pytest.mark.parametrize("name", list(ATOMIC_WINDOWS))
+def test_atomic_points_carry_the_sturm_count(name):
+    # zero_count midway between consecutive points, and past the outermost,
+    # counts the points between there and 0: the index
+    _, m, points, _ = atomic_window(name)
+    mus = [pt.mu for pt in points]
+    assert mus == sorted(mus)
+    for k, pt in enumerate(points):
+        if pt.index > 0:
+            nxt = mus[k + 1] if k + 1 < len(mus) else 2.0 * pt.mu
+            assert zero_count(m, 0.5 * (pt.mu + nxt)) == pt.index
+        else:
+            prv = mus[k - 1] if k > 0 else 2.0 * pt.mu
+            assert zero_count(m, 0.5 * (pt.mu + prv)) == -pt.index
+
+
+@pytest.mark.parametrize("name", list(ATOMIC_WINDOWS))
+def test_discriminant_crosses_one_at_each_simple_atomic_edge(name):
+    _, m, _, edges = atomic_window(name)
+    assert edges
+    for e in edges:
+        assert e.multiplicity == 1
+        t = 1.0 if e.kind == "periodic" else -1.0
+        w = 1e-9 * abs(e.lam)
+        below, above = discriminant(m, e.lam - w) - t, discriminant(m, e.lam + w) - t
+        assert below * above < 0.0, e
+
+
+def test_atomic_spectra_replace_the_search(monkeypatch):
+    def banned(*args, **kwargs):
+        raise AssertionError("a purely atomic spectrum searched")
+
+    monkeypatch.setattr(floquet, "zero_count", banned)
+    monkeypatch.setattr(floquet, "brentq", banned)
+    for name in ATOMIC_WINDOWS:
+        _, _, points, edges = atomic_window(name)
+        assert points and edges
+    assert len(auxiliary_spectrum(atoms_m(ATOMS16_0), count=3)) == 3
+
+
+def test_atomic_points_straddling_zero_count_down_below_it():
+    m = atoms_m([(0.05, -0.8), (0.3, 1.2), (0.55, -1.5), (0.75, 0.6), (0.9, -0.3)])
+    points = auxiliary_spectrum(m, -1e4, 1e4)
+    assert [pt.index for pt in points] == [-3, -2, -1, 1, 2]
+    assert all((pt.mu < 0.0) == (pt.index < 0) for pt in points)
+    for pt in points:
+        assert zero_count(m, pt.mu * (1.0 + 1e-9)) == abs(pt.index)
+        assert zero_count(m, pt.mu * (1.0 - 1e-9)) == abs(pt.index) - 1
+    # a window below 0 keeps the global indices
+    assert [pt.index for pt in auxiliary_spectrum(m, points[0].mu + 1.0, -1e-6)] == [-2, -1]
+
+
+def test_atoms_the_dirichlet_problem_cannot_see_give_no_point():
+    # an atom at q = 0 meets y2(0) = 0, and one of weight 0 is no atom: the
+    # points are those of the other two, and the edges those without the
+    # weight-0 atom
+    seen = [(0.3, 0.9), (0.7, 1.4)]
+    m = atoms_m([(0.0, 1.1), (0.5, 0.0)] + seen)
+    points = auxiliary_spectrum(m, -1e3, 1e3)
+    ref = auxiliary_spectrum(atoms_m(seen), -1e3, 1e3)
+    assert [pt.index for pt in points] == [pt.index for pt in ref] == [1, 2]
+    np.testing.assert_allclose([pt.mu for pt in points], [pt.mu for pt in ref], rtol=1e-13)
+    edges = periodic_spectrum(m, -1e3, 1e3, points=points)
+    with_zero = atoms_m([(0.0, 1.1)] + seen)
+    ref = periodic_spectrum(with_zero, -1e3, 1e3, points=auxiliary_spectrum(with_zero, -1e3, 1e3))
+    assert [(e.kind, e.multiplicity) for e in edges] == [(e.kind, e.multiplicity) for e in ref]
+    np.testing.assert_allclose([e.lam for e in edges], [e.lam for e in ref], rtol=1e-13)
+    assert len(edges) == 6 and hill_problems(points, edges) == []
+
+
+def test_count_on_atoms_keeps_at_most_the_whole_spectrum():
+    # the spectrum of n atoms is finite: count keeps the lowest points of the
+    # window and, past its end, returns all there are instead of searching on
+    m = atoms_m(INDEFINITE)
+    window = auxiliary_spectrum(m, -200.0, 200.0)
+    assert [pt.index for pt in window] == [-2, -1, 1, 2]
+    assert auxiliary_spectrum(m, -200.0, count=3) == window[:3]
+    assert auxiliary_spectrum(m, count=1) == window[2:3]
+    assert auxiliary_spectrum(m, count=4) == window[2:]
+    # one atom the Dirichlet problem sees: one point, however many are asked for
+    [pt] = auxiliary_spectrum(atoms_m([(0.0, 0.8)] + INDEFINITE[:1]), count=2)
+    [ref] = auxiliary_spectrum(atoms_m(INDEFINITE[:1]), count=2)
+    assert (pt.index, pt.mu) == (ref.index, ref.mu)
+
+
+def test_closed_atomic_gaps_are_double_edges_at_the_points():
+    # 16 atoms repeating with period 1/4: every gap whose number is not a
+    # multiple of 4 closes (U = +-I at its mu), and the two Green's roots
+    # there give way to one double edge at mu
+    pairs = [((k + 0.5) / 16, 1.0 + 0.25 * (k % 4)) for k in range(16)]
+    m = atoms_m(pairs)
+    points = auxiliary_spectrum(m, GUARD_BAND, 62.0)
+    edges = periodic_spectrum(m, GUARD_BAND, 62.0, points=points)
+    assert len(points) == 16 and hill_problems(points, edges) == []
+    doubles = [e for e in edges if e.multiplicity == 2]
+    closed = [pt for pt in points if pt.degenerate]
+    assert [e.lam for e in doubles] == [pt.mu for pt in closed]
+    assert [pt.index for pt in closed] == [k for k in range(1, 17) if k % 4]
+    assert sum(e.multiplicity for e in edges) == 32
+
+
+def test_two_hundred_atoms_keep_hills_pattern_below_1000():
+    # bands near 1000 are narrower than an ulp; the edges still come in
+    # Hill's order, and every point carries the Sturm count
+    rng = random.Random(1)
+    pairs = [(i / 200 + 0.001, rng.uniform(0.1, 1.0)) for i in range(200)]
+    m = atoms_m(pairs)
+    points = auxiliary_spectrum(m, GUARD_BAND, 1000.0)
+    edges = periodic_spectrum(m, GUARD_BAND, 1000.0, points=points)
+    assert hill_problems(points, edges) == []
+    assert len(points) == zero_count(m, 1000.0) == 121
+    assert sum(e.multiplicity for e in edges) == 242
+    lams = [e.lam for e in edges]
+    np.testing.assert_allclose(lams, sorted(lams), rtol=1e-15)
+
+
+def test_atoms_a_rounding_apart_fall_back_to_the_search():
+    # the periodic Green's matrix of atoms one ulp apart does not factor;
+    # they act as one atom of their summed weight
+    q = 0.3
+    m = atoms_m([(0.1, 0.5), (q, 0.4), (math.nextafter(q, 1.0), 0.6), (0.7, 0.8)])
+    merged = atoms_m([(0.1, 0.5), (q, 1.0), (0.7, 0.8)])
+    points, edges = window_spectrum(m, 100.0)
+    ref_points, ref_edges = window_spectrum(merged, 100.0)
+    assert hill_problems(points, edges) == []
+    np.testing.assert_allclose([pt.mu for pt in points], [pt.mu for pt in ref_points],
+                               rtol=1e-12)
+    np.testing.assert_allclose([e.lam for e in edges], [e.lam for e in ref_edges], rtol=1e-12)

@@ -4,7 +4,7 @@
 #   tools/artifacts.sh OUT
 #
 # Runs `spectrum`, `discriminant` and `verify` on the shipped configs and on
-# five inline members, which go to a temporary directory. Two runs of one tree
+# six inline members, which go to a temporary directory. Two runs of one tree
 # must give `diff -r` with no output; so must one run of a change and one of
 # its parent commit, when the change claims byte-identical artifacts.
 set -euo pipefail
@@ -25,6 +25,9 @@ run() { python -m chspectral "$@"; }
 echo '{"smooth": {"kind": "const", "value": -1.0}}' > "$tmp/negative.json"
 echo '{"smooth": {"kind": "fourier", "a0": 1.0, "cos": [0.3]}, "atoms": [{"q": 0.0, "p": 0.5}, {"q": 0.999, "p": 0.4}]}' > "$tmp/atom_at_zero.json"
 echo '{"atoms": [{"q": 0.03125, "p": 1.0}, {"q": 0.09375, "p": 1.25}, {"q": 0.15625, "p": 1.5}, {"q": 0.21875, "p": 1.75}, {"q": 0.28125, "p": 1.0}, {"q": 0.34375, "p": 1.25}, {"q": 0.40625, "p": 1.5}, {"q": 0.46875, "p": 1.75}, {"q": 0.53125, "p": 1.0}, {"q": 0.59375, "p": 1.25}, {"q": 0.65625, "p": 1.5}, {"q": 0.71875, "p": 1.75}, {"q": 0.78125, "p": 1.0}, {"q": 0.84375, "p": 1.25}, {"q": 0.90625, "p": 1.5}, {"q": 0.96875, "p": 1.75}]}' > "$tmp/atoms16.json"
+# purely atomic, with atoms the Dirichlet problem cannot see (q = 0, p = 0)
+# and a negative weight, so that points and edges lie on both sides of 0
+echo '{"atoms": [{"q": 0.0, "p": 0.7}, {"q": 0.2, "p": 1.1}, {"q": 0.45, "p": 0.0}, {"q": 0.6, "p": -0.8}, {"q": 0.85, "p": 1.3}]}' > "$tmp/atoms_signed.json"
 echo '{"smooth": {"kind": "samples", "values": [1.2, 1.184775906502, 1.141421356237, 1.076536686473, 1.0, 0.923463313527, 0.858578643763, 0.815224093498, 0.8, 0.815224093498, 0.858578643763, 0.923463313527, 1.0, 1.076536686473, 1.141421356237, 1.184775906502]}}' > "$tmp/samples16.json"
 # two_mode sampled at 16 points: an asymmetric spline, so the gradient check
 # and the brackets have non-degenerate points (samples16.json is symmetric);
@@ -49,6 +52,8 @@ run verify gradients --config configs/peakon_offset.json --out "$out/verify_peak
 run verify gradients --config configs/two_mode.json --n 64 --out "$out/verify_two_mode_n64"
 run spectrum --config "$tmp/negative.json" --lambda-min=-300 --lambda-max 300 \
   --out "$out/spectrum_negative"
+run spectrum --config "$tmp/atoms_signed.json" --lambda-min=-200 --lambda-max 200 \
+  --out "$out/spectrum_atoms_signed"
 for stem in atom_at_zero atoms16 samples16 two_mode16; do
   run spectrum --config "$tmp/$stem.json" --out "$out/spectrum_$stem"
   run discriminant --config "$tmp/$stem.json" --out "$out/discriminant_$stem"
