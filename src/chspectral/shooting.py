@@ -11,21 +11,20 @@ depend on lambda.  An RK4 step over [x, x+h] is built from c = 1/4 - lambda m
 at x, x+h/2 and x+h, with entries quadratic in lambda; the table samples m_s
 at those nodes once, when it is built.
 
-Every operation but the dense pair and the hat runs reads the plain table
-through its blocks: runs of k rows composed into one step I + B, whose
-entries are polynomials in lambda.  k is the largest power of two up to 16
-whose blocks all keep a phase within 1 at the given |lambda|, and whose
-highest power of lambda stays within 2^1000, one row when none does; the
-table fixes these limits once, and builds the coefficients of each block
-size the first time it is asked for, so that one set serves every lambda its
-k admits.  For one lambda, one matvec with the powers of lambda evaluates
-the blocks (at one row a block the rows come from c instead, as the dense
-pair forms them, so that no lambda^2 overflows).  The transfer matrix is the
-product of the blocks: a short block list is folded in Python floats, a long
-one is a pairwise tree of 2x2 matrices.  The Sturm count folds y2 alone at
-the block ends in Python floats, whatever the length.  A batch of lambdas is
-grouped by k, and each group advances its columns block by block with the
-lambdas as vector lanes.  The dense pair is a prefix scan of single rows.
+Every operation but the dense pair and the hat runs reads the plain table.
+An RK4 table composes runs of 16 rows into blocks I + B, whose entries are
+polynomials in lambda, once, when it is built, and fixes the largest |lambda|
+at which every block keeps a phase within 1 and its highest power of lambda
+within 2^1000.  For one lambda it admits, one matvec with the powers of
+lambda evaluates the blocks.  Every other lambda, and every lambda of an
+exact table, takes the rows themselves, formed from c as the dense pair
+forms them, so that no lambda^2 overflows.  The transfer matrix is the
+product of the blocks or rows: a short list is folded in Python floats, a
+long one is a pairwise tree of 2x2 matrices.  The Sturm count folds y2 alone
+at the block or row ends in Python floats, whatever the length.  A batch of
+lambdas splits into the lanes the blocks admit and the rest, and each group
+advances its columns block by block, or row by row, with the lambdas as
+vector lanes.  The dense pair is a prefix scan of single rows.
 Only rounding depends on the association: the scheme is RK4 and doubling
 the step count cuts its error by about 16.
 
@@ -66,11 +65,11 @@ BLOWUP_GUARD = 1e300
 # tree ~90 us, fold ~120 us)
 _FOLD_ROWS = 128
 # step tables memoised per process: an op reads at most a plain and a dense
-# table per coefficient; at 4096 steps they hold 0.1 and 0.33 MB, and the
-# plain one about 0.3 MB per block size it has used
+# table per coefficient; at 4096 steps they hold 0.1 and 0.33 MB, and an RK4
+# plain one 0.27 MB more for its blocks
 _TABLES_KEPT = 4
-# runs of up to this many rows (a power of two) compose into one block, as
-# long as a run's phase stays within 1 (_block_limits)
+# runs of this many rows (a power of two) of an RK4 table compose into one
+# block, for every |lambda| that keeps a run's phase within 1 (_block_limit)
 _BLOCK_ROWS = 16
 
 
@@ -143,11 +142,11 @@ class _Table(NamedTuple):
     (ms is None when the rows are exact, and then exact holds their D, which
     does not depend on lambda).  Only the dense pair's table keeps the nodes,
     nodes[2r : 2r + 3], the row ends, row r ending at xs[r], and at the row
-    ends the Simpson weights w and m_s, m_s' (mx, dmx).  Only the plain table
-    keeps blocks, k -> the coefficients of its blocks of k rows as polynomials
-    in lambda (_block_set), k = 1 its rows, built at first use, and limits,
-    the largest |lambda| that admits blocks of k rows, k = 16, 8, 4, 2
-    (_block_limits).  Every array is read-only."""
+    ends the Simpson weights w and m_s, m_s' (mx, dmx).  Only a plain RK4
+    table keeps blocks, the coefficients of its blocks of _BLOCK_ROWS rows as
+    polynomials in lambda (_blocks), and limit, the largest |lambda| that
+    admits them (_block_limit); any other table has no blocks and limit -1,
+    which admits no lambda.  Every array is read-only."""
 
     xs: np.ndarray | None
     h: np.ndarray | float
@@ -158,8 +157,8 @@ class _Table(NamedTuple):
     mx: np.ndarray | None
     dmx: np.ndarray | None
     exact: np.ndarray | None
-    blocks: dict | None = None
-    limits: np.ndarray | None = None
+    blocks: np.ndarray | None = None
+    limit: float = -1.0
 
 
 def _table(m, steps, x1=1.0, dense=False):
@@ -228,8 +227,11 @@ def _built_table(m, steps, x1, dense):
 
 
 def _plain(t):
-    """The plain table t with its block limits and an empty memo of block sets; frozen."""
-    return _frozen(t._replace(blocks={}, limits=_block_limits(t)))
+    """The plain table t, frozen: an RK4 table with its blocks and their
+    limit, an exact one with none, limit -1."""
+    if t.ms is None:
+        return _frozen(t)
+    return _frozen(t._replace(blocks=_blocks(_rows(t)), limit=_block_limit(t)))
 
 
 def _frozen(t):
@@ -420,7 +422,8 @@ def bumped_endpoints(m, lams, sites, n, eps, steps=DEFAULT_STEPS):
 
 
 def fundamental_matrix(m, lam, x=1.0, steps=DEFAULT_STEPS):
-    """Transfer matrix U(x, lam) for x in one period [0, 1]: the product of the table's blocks."""
+    """Transfer matrix U(x, lam) for x in one period [0, 1]: the product of
+    the table's blocks, or of its rows where lam is past their limit."""
     if not 0.0 <= x <= 1.0:
         raise ValueError("fundamental matrix is tracked over one period [0, 1] only")
     with np.errstate(over="ignore", invalid="ignore"):
@@ -451,9 +454,10 @@ def zero_count(m, lam, steps=DEFAULT_STEPS):
     """Sign changes of y2(., lam) over (0, 1]: the Sturm count of auxiliary points.
 
     It is #{0 < mu_i < lam} for lam > 0 and #{lam < mu_i < 0} for lam < 0, for
-    sign-indefinite m too.  The count runs over y2 at the end of every block:
-    a block turns by a phase of at most 1 < pi, and an exact stretch
-    (psi'' = psi/4) is one row, so y2 has at most one zero inside either.
+    sign-indefinite m too.  The count runs over y2 at the end of every block,
+    or of every row past the blocks' limit: a block turns by a phase of at
+    most 1 < pi, and an exact stretch (psi'' = psi/4) is one row, so y2 has
+    at most one zero inside either.
     """
     return _sign_changes(_evaluated(_table(m, steps), lam))
 
@@ -461,74 +465,50 @@ def zero_count(m, lam, steps=DEFAULT_STEPS):
 # ---------------------------------------------------------------------------
 # blocks of rows as polynomials in lambda
 
-def _block_limits(t):
-    """Ascending limits on |lambda| that admit blocks of k rows of the table
-    t, for k = _BLOCK_ROWS, ..., 4, 2.  A block of length H carrying atom
-    mass P turns by about sqrt(H^2 (1/4 + |lambda| max|m_s|) + |lambda| P H);
-    within a phase of 1 the terms of a block's polynomials, summed in
-    magnitude, stay within a small factor (about cosh 1) of its entries, so
-    evaluating them cancels few digits, and y2 has at most one zero inside
-    the block.  Atoms' kicks count through P: a purely atomic table gets one
-    row per block once lambda passes a few units.  The highest power of
-    lambda in a block, k d for rows of degree d, also stays within 2^1000, so
+def _block_limit(t):
+    """The largest |lambda| that admits the blocks of _BLOCK_ROWS rows of the
+    RK4 table t.  A block of length H carrying atom mass P turns by about
+    sqrt(H^2 (1/4 + |lambda| max|m_s|) + |lambda| P H); within a phase of 1
+    the terms of a block's polynomials, summed in magnitude, stay within a
+    small factor (about cosh 1) of its entries, so evaluating them cancels
+    few digits, and y2 has at most one zero inside the block.  The highest
+    power of lambda in a block, 2 _BLOCK_ROWS, also stays within 2^1000, so
     that it is finite where m_s and the atoms are too small to bound the
     phase (m = 0 bounds nothing); a coefficient that underflows there drops
-    a term below 1e-22.  One row a block reaches every lambda: one lambda
-    evaluates such rows from c (_evaluated), and only the sweep's rows, of
-    degree 2 at most, stop at |lambda| = 1.3e154."""
+    a term below 1e-22."""
     h, p = np.broadcast_to(t.h, t.p.shape), np.abs(t.p)
-    ms, degree = (0.0, 1) if t.ms is None else (np.max(np.abs(t.ms)), 2)
-    limits, k = [], _BLOCK_ROWS
-    while k > 1:
-        starts = np.arange(0, p.size, k)
-        length, mass = np.add.reduceat(h, starts), np.add.reduceat(p, starts)
-        # H^2/4 + L (H^2 max|m_s| + H P) <= 1; a block with neither length
-        # nor mass admits every L
-        with np.errstate(divide="ignore"):
-            phase = np.min((1.0 - 0.25 * length ** 2) / (length * (length * ms + mass)))
-        limits.append(min(float(phase), 2.0 ** (1000 / (k * degree))))
-        k //= 2
-    return np.array(limits)
+    starts = np.arange(0, p.size, _BLOCK_ROWS)
+    length, mass = np.add.reduceat(h, starts), np.add.reduceat(p, starts)
+    # H^2/4 + L (H^2 max|m_s| + H P) <= 1; a block with neither length nor
+    # mass admits every L
+    with np.errstate(divide="ignore"):
+        phase = np.min((1.0 - 0.25 * length ** 2)
+                       / (length * (length * np.max(np.abs(t.ms)) + mass)))
+    return min(float(phase), 2.0 ** (1000 / (2 * _BLOCK_ROWS)))
 
 
-def _block_size(t, top):
-    """Rows per block of t at |lambda| = top, a float or an array of them:
-    the largest k whose limit admits top, one row when none does (nan and inf
-    too)."""
-    if isinstance(top, np.ndarray):
-        return _BLOCK_ROWS >> np.searchsorted(t.limits, top)
-    # a float in Python: the limits that fail to admit it, as searchsorted counts them
-    return _BLOCK_ROWS >> sum(not top <= limit for limit in t.limits.tolist())
-
-
-def _block_set(t, k):
-    """Coefficients (n / k, 4, k d + 1) of the blocks of k rows of the plain
-    table t, built at first use and kept with it; k = 1 gives its rows."""
-    blocks = t.blocks.get(k)
-    if blocks is None:
-        if t.ms is None:
-            # exact rows: D is affine in lambda
-            polys = np.zeros((t.h.size, 4, 2))
-            polys[:, :, 0] = t.exact.T
-        else:
-            polys = _step_polys(t.ms, t.h)
-        polys[:, 2, 1] -= t.p
-        blocks = t.blocks[k] = _blocks(polys, k)
-        blocks.setflags(write=False)
-    return blocks
+def _rows(t):
+    """Coefficients (n, 4, d + 1) of the rows of D of the plain table t as
+    polynomials in lambda, the jump -lambda p in d10: d = 1 on exact rows,
+    whose D is affine in lambda, d = 2 on RK4 rows."""
+    if t.ms is None:
+        polys = np.zeros((t.h.size, 4, 2))
+        polys[:, :, 0] = t.exact.T
+    else:
+        polys = _step_polys(t.ms, t.h)
+    polys[:, 2, 1] -= t.p
+    return polys
 
 
 def _evaluated(t, lam):
-    """Rows (n / k, 4) of D of the blocks of the plain table t at one lambda,
-    k as large as |lambda| admits: one matvec with the powers of lambda, or,
-    one row a block, the rows from c = 1/4 - lambda m_s, which stay finite
-    where lambda^2 overflows."""
-    k = _block_size(t, abs(lam))
-    if k == 1:
+    """Rows (n / k, 4) of D of the plain table t at one lambda: its blocks
+    (k = _BLOCK_ROWS) where |lambda| admits them, by one matvec with the
+    powers of lambda, else its rows (k = 1) from c = 1/4 - lambda m_s, which
+    stay finite where lambda^2 overflows."""
+    if not abs(lam) <= t.limit:
         return _entries(t, lam).T
-    blocks = _block_set(t, k)
-    terms = blocks.shape[-1]
-    return (blocks.reshape(-1, terms) @ _powers(lam, terms)).reshape(-1, 4)
+    terms = t.blocks.shape[-1]
+    return (t.blocks.reshape(-1, terms) @ _powers(lam, terms)).reshape(-1, 4)
 
 
 def _powers(lams, terms):
@@ -552,20 +532,21 @@ def endpoint_column(m, lams, column=(0.0, 1.0), steps=DEFAULT_STEPS, x1=1.0):
 
     column is the Cauchy data (psi, psi') at 0 shared by the batch; a (2, k)
     array holds k columns, which advance in one pass and give results with a
-    leading axis of length k.  The lanes are grouped by the block size their
-    own |lambda| admits (_block_size), and each group walks the table's
-    memoised blocks of that size, each block one matmul of its coefficients
-    with the powers of lambda and one update of the columns.
+    leading axis of length k.  The lanes whose |lambda| the table's blocks
+    admit walk them, each block one matmul of its coefficients with the
+    powers of lambda and one update of the columns; the other lanes walk the
+    rows the same way (_rows), whose lambda^2 overflows above 1.3e154.
     """
     lams = np.asarray(lams, dtype=float)
     column = np.asarray(column, dtype=float)
     flat = lams.ravel()
     t = _table(m, steps, x1)
-    sizes = _block_size(t, np.abs(flat))
+    blocked = np.abs(flat) <= t.limit
     out = np.empty((2,) + column.shape[1:] + flat.shape)
-    for k in np.unique(sizes):
-        lanes = sizes == k
-        out[..., lanes] = _walk(_block_set(t, k), flat[lanes], column)
+    if blocked.any():
+        out[..., blocked] = _walk(t.blocks, flat[blocked], column)
+    if not blocked.all():
+        out[..., ~blocked] = _walk(_rows(t), flat[~blocked], column)
     _check_guard(out)
     psi, dpsi = out.reshape((2,) + column.shape[1:] + lams.shape)
     return psi, dpsi
@@ -591,12 +572,13 @@ def _walk(blocks, lams, column):
     return psi, dpsi
 
 
-def _blocks(polys, k):
-    """Coefficients (ceil(n/k), 4, k d + 1) of D of each run of k rows of polys
-    (n, 4, d + 1), the rows of D as polynomials in lambda; k is a power of two
-    and the last block is padded with zero rows.  A pairwise tree composes all
-    blocks at once, one level per halving."""
-    e = np.concatenate((polys, np.zeros((-len(polys) % k,) + polys.shape[1:])))
+def _blocks(polys):
+    """Coefficients (ceil(n / _BLOCK_ROWS), 4, _BLOCK_ROWS d + 1) of D of each
+    run of _BLOCK_ROWS rows of polys (n, 4, d + 1), the rows of D as
+    polynomials in lambda; the last block is padded with zero rows.  A
+    pairwise tree composes all blocks at once, one level per halving."""
+    e = np.concatenate((polys, np.zeros((-len(polys) % _BLOCK_ROWS,) + polys.shape[1:])))
+    k = _BLOCK_ROWS
     while k > 1:
         e = _compose_polys(e[1::2], e[0::2])
         k //= 2

@@ -443,14 +443,12 @@ def test_memoised_tables_are_read_only():
     for a in arrays + [solve_fundamental(m, 39.4, steps=1000)[0].ms]:
         with pytest.raises(ValueError):
             a[0] = 1.0
-    # the plain table's block sets, one per block size used
-    zero_count(m, 39.4, steps=1000)
-    endpoint_column(m, [3.0, 4e4], steps=1000)
-    blocks = shooting._table(m, 1000).blocks
-    assert len(blocks) >= 2
-    for b in blocks.values():
+    # the plain RK4 table's arrays, its blocks among them, built with it
+    plain = shooting._table(m, 1000)
+    assert plain.blocks is not None
+    for a in (a for a in plain if isinstance(a, np.ndarray)):
         with pytest.raises(ValueError):
-            b[0, 0, 0] = 1.0
+            a.flat[0] = 1.0
 
 
 def test_memo_stays_bounded():
@@ -533,19 +531,20 @@ def test_blocked_sweep_matches_the_transfer_matrix(name, window):
         got = np.array([psi[:, k], dpsi[:, k]])
         assert np.max(np.abs(got - want)) <= swing_bound(m, lam, want), lam
     t = shooting._table(m, shooting.DEFAULT_STEPS)
-    k = shooting._block_size(t, max(abs(window[0]), window[1]))
+    top = max(abs(window[0]), window[1])
     if t.ms is None:
-        assert k == 1           # from lambda = 50 up, atoms' kicks keep one row a block
+        assert t.blocks is None     # exact rows: every lambda walks them one by one
     elif window[1] == 1e6:
-        assert k <= 4           # a wide window forces short blocks
+        assert not top <= t.limit   # a wide window passes the blocks' limit
     elif not m.atoms and window[1] == 50.0:
-        assert k == shooting._BLOCK_ROWS
+        assert top <= t.limit
 
 
 @pytest.mark.parametrize("name", sorted(n for n, spec in SWEEP_MEMBERS.items() if "smooth" in spec))
 def test_blocked_sweep_matches_stage_rk4(name):
-    # 1024 steps up to 5e4: blocks of up to 4 rows, each lane against plain RK4 (a
-    # stretch with no smooth part is one exact row, which RK4 only approximates)
+    # 1024 steps up to 5e4: blocks, and rows past their limit, each lane
+    # against plain RK4 (a stretch with no smooth part is one exact row,
+    # which RK4 only approximates)
     m = make_coefficient(SWEEP_MEMBERS[name])
     lams = (-500.0, 0.3, 50.0, 5e4)
     psi, dpsi = endpoint_column(m, lams, np.eye(2), REFERENCE_STEPS)
@@ -556,8 +555,8 @@ def test_blocked_sweep_matches_stage_rk4(name):
         assert np.max(np.abs(got - want)) <= swing_bound(m, lam, want), lam
 
 
-# blocks of 16 rows down to 2 or 4 on the smooth members; one row on the
-# atomic ones from lambda ~ 50 up, several below
+# blocks of 16 rows on the smooth members up to their limit, single rows
+# above it; single rows on the atomic ones at every lambda
 BLOCK_LAMS = (-500.0, 0.3, 37.3, 551.5, 5e4, 1.5e5, 5e5, 1e6)
 
 
@@ -568,56 +567,71 @@ def test_blocked_transfer_matrix_matches_the_dense_pair(name):
     # error at 4096 steps is far below rounding); m = -1 grows past the guard
     # at lambda = 5e5, so it is checked at -lambda
     m = make_coefficient(SWEEP_MEMBERS[name])
-    sizes = set()
+    t = shooting._table(m, shooting.DEFAULT_STEPS)
+    blocked = set()
     for lam in (-np.array(BLOCK_LAMS) if name == "negative" else BLOCK_LAMS):
         U = fundamental_matrix(m, lam)
         t1, t2 = solve_fundamental(m, lam)
         want = np.array([[t1.psi[-1], t2.psi[-1]], [t1.dpsi[-1], t2.dpsi[-1]]])
         got = np.array([[U.y1, U.y2], [U.dy1, U.dy2]])
         assert np.max(np.abs(got - want)) <= swing_bound(m, lam, want), lam
-        sizes.add(shooting._block_size(shooting._table(m, shooting.DEFAULT_STEPS), abs(lam)))
-    assert len(sizes) >= 2
+        blocked.add(bool(abs(lam) <= t.limit))
+    # both walks on an RK4 table, rows alone on an exact one
+    assert blocked == ({False} if t.ms is None else {True, False})
+
+
+def walks_blocks(monkeypatch, t, m, lams):
+    """Per lane of endpoint_column(m, lams): True where it walked the blocks of
+    the table t, False where it walked its rows."""
+    def spy(blocks, lanes, column):
+        assert blocks is t.blocks or np.array_equal(blocks, shooting._rows(t))
+        return np.full((2, lanes.size), float(blocks is t.blocks))
+
+    monkeypatch.setattr(shooting, "_walk", spy)
+    return (endpoint_column(m, lams)[0] == 1.0).tolist()
 
 
 @pytest.mark.parametrize("name", sorted(SWEEP_MEMBERS))
-def test_block_limits_admit_a_phase_of_at_most_one(name):
+def test_block_limits_admit_a_phase_of_at_most_one(name, monkeypatch):
     # restated from the rule: a block of length H and atom mass P at |lambda|
-    # = L turns by sqrt(H^2 (1/4 + L max|m_s|) + L P H); each limit is the
-    # largest L at which every block of its k rows stays within 1, unless
-    # L^(k d) would pass 2^1000 first (rows of degree d in lambda)
-    t = shooting._table(make_coefficient(SWEEP_MEMBERS[name]), shooting.DEFAULT_STEPS)
-    h, p = np.broadcast_to(t.h, t.p.shape), np.abs(t.p)
-    ms, degree = (0.0, 1) if t.ms is None else (np.max(np.abs(t.ms)), 2)
-    assert t.limits.shape == (4,)
-    for k, limit in zip((16, 8, 4, 2), t.limits):
-        starts = np.arange(0, h.size, k)
+    # = L turns by sqrt(H^2 (1/4 + L max|m_s|) + L P H); the limit is the
+    # largest L at which every block of 16 RK4 rows stays within 1, unless
+    # L^32 would pass 2^1000 first; exact rows get no blocks and limit -1
+    m = make_coefficient(SWEEP_MEMBERS[name])
+    t = shooting._table(m, shooting.DEFAULT_STEPS)
+    limit = t.limit
+    if t.ms is None:
+        assert t.blocks is None and limit == -1.0
+    else:
+        h, p = np.broadcast_to(t.h, t.p.shape), np.abs(t.p)
+        starts = np.arange(0, h.size, shooting._BLOCK_ROWS)
         length, mass = np.add.reduceat(h, starts), np.add.reduceat(p, starts)
 
         def phase(top):
-            return np.max(np.sqrt(length ** 2 * (0.25 + top * ms) + top * mass * length))
+            return np.max(np.sqrt(length ** 2 * (0.25 + top * np.max(np.abs(t.ms)))
+                                  + top * mass * length))
 
-        cap = 2.0 ** (1000 / (k * degree))
+        cap = 2.0 ** (1000 / 32)
+        assert t.blocks.shape == (starts.size, 4, 33)
         assert phase(limit) <= 1.0 + 1e-15 and limit <= cap
         assert phase(limit * (1.0 + 1e-9)) > 1.0 or limit == cap
-        assert shooting._block_size(t, limit) >= k
-        assert shooting._block_size(t, limit * (1.0 + 1e-9)) < k
-    # a block of more rows turns further
-    assert np.array_equal(t.limits, np.sort(t.limits))
-    # one lambda, a Python float, or an array of them: the same rule on
-    # either side of each limit, at it, and at nan and inf (one row a block)
-    tops = np.concatenate(([0.0, np.inf, -np.inf, np.nan], t.limits,
-                           np.nextafter(t.limits, -np.inf), np.nextafter(t.limits, np.inf)))
-    assert [shooting._block_size(t, top) for top in tops.tolist()] == \
-        list(shooting._block_size(t, tops))
-    assert shooting._block_size(t, math.inf) == shooting._block_size(t, math.nan) == 1
+    # one lambda, a Python float, or the lanes of a sweep: blocks at and
+    # below the limit, rows above it and at nan and inf
+    tops = [0.0, -0.0, limit, -limit, math.nextafter(limit, -math.inf),
+            math.nextafter(limit, math.inf), math.inf, -math.inf, math.nan]
+    want = [limit >= 0.0] * 5 + [False] * 4
+    with np.errstate(all="ignore"):
+        rows = [len(shooting._evaluated(t, top)) for top in tops]
+    assert [n != t.p.size for n in rows] == want
+    assert walks_blocks(monkeypatch, t, m, tops) == want
 
 
 @pytest.mark.parametrize("lam", [0.0, -0.0, 0.3, -37.3, 551.5, 1e6, -1e20, 1e160, math.nan])
 def test_powers_of_one_lambda_are_the_array_powers(lam):
     # one lambda's powers, formed in Python, against the lanes' products,
-    # bit for bit, at every block size's number of terms (k d + 1), past
-    # overflow too
-    for terms in sorted({k * d + 1 for k in (1, 2, 4, 8, 16) for d in (1, 2)}):
+    # bit for bit, at every number of terms a walk uses (exact rows, RK4
+    # rows, blocks), past overflow too
+    for terms in (2, 3, 2 * shooting._BLOCK_ROWS + 1):
         one = np.array(shooting._powers(lam, terms))
         with np.errstate(over="ignore"):
             lanes = shooting._powers(np.array([lam]), terms)[:, 0]
@@ -629,8 +643,8 @@ def test_powers_of_one_lambda_are_the_array_powers(lam):
     (peakon(1e-12, 0.5), 1e14), (const_m(0.0), 1e20), (const_m(0.0), 1e300),
 ], ids=["1e-6@1e10", "1e-6@3e9", "1e-9@1e13", "atom1e-12@1e14", "zero@1e20", "zero@1e300"])
 def test_blocks_stay_finite_where_a_small_m_admits_a_large_lambda(m, lam):
-    # a tiny m turns slowly at a huge lambda: the phase admits long blocks,
-    # whose powers of lambda would overflow unless the limits cap them
+    # a tiny m turns slowly at a huge lambda: the phase admits the blocks,
+    # whose powers of lambda would overflow unless the limit caps them
     t1, t2 = solve_fundamental(m, lam)
     want = np.array([[t1.psi[-1], t2.psi[-1]], [t1.dpsi[-1], t2.dpsi[-1]]])
     U = fundamental_matrix(m, lam)
@@ -646,7 +660,7 @@ def test_blocks_stay_finite_where_a_small_m_admits_a_large_lambda(m, lam):
 
 @pytest.mark.parametrize("lam", [1e160, -1e160])
 def test_single_rows_stay_finite_where_lambda_squared_overflows(lam):
-    # one row a block: a row's polynomial holds lambda^2, which overflows
+    # past the limit, single rows: a row's polynomial holds lambda^2, which overflows
     # above |lambda| = 1.3e154, while its entries from c = 1/4 - lambda m_s,
     # here c ~ 1/4, do not
     m = const_m(1e-200)
@@ -661,22 +675,13 @@ def test_single_rows_stay_finite_where_lambda_squared_overflows(lam):
 
 
 def test_sweep_lanes_walk_the_blocks_their_lambda_admits(monkeypatch):
-    # one atom of weight 0.5 shortens the blocks from lambda ~ 1e3 on; the
-    # lanes below keep their longer blocks
+    # one atom of weight 0.5 puts the blocks' limit near 541; the lanes below
+    # it walk the blocks, the lanes above walk the rows
     m = make_coefficient(SWEEP_MEMBERS["atom_at_zero"])
     lams = np.linspace(-500.0, 5e4, 101)
-    walked, walk = {}, shooting._walk
-
-    def spy(blocks, lanes, column):
-        walked.update((lam, blocks) for lam in lanes)
-        return walk(blocks, lanes, column)
-
-    monkeypatch.setattr(shooting, "_walk", spy)
-    endpoint_column(m, lams)
     t = shooting._table(m, shooting.DEFAULT_STEPS)
-    assert {shooting._block_size(t, abs(lam)) for lam in lams} == {16, 8, 4, 2, 1}
-    for lam in lams:
-        assert walked[lam] is shooting._block_set(t, shooting._block_size(t, abs(lam)))
+    assert 500.0 < t.limit < 5e4
+    assert walks_blocks(monkeypatch, t, m, lams) == (np.abs(lams) <= t.limit).tolist()
 
 
 @pytest.mark.parametrize("name", ["two_mode", "atoms16"])
@@ -699,13 +704,17 @@ def test_repeated_sweeps_are_byte_identical(name):
 
 
 def test_exact_rows_are_built_with_the_table():
-    # exact rows do not depend on lambda: the table holds them, read-only
+    # exact rows do not depend on lambda: the table holds them, read-only,
+    # and no blocks, which only an RK4 table composes, when it is built
+    shooting._built_table.cache_clear()
     t = shooting._table(make_coefficient(SWEEP_MEMBERS["atoms16"]), 1000)
     assert t.ms is None and t.exact.shape == (4, t.h.size)
     assert np.array_equal(t.exact, shooting._exact(t.h))
     with pytest.raises(ValueError):
         t.exact[0, 0] = 1.0
-    assert shooting._table(make_coefficient(SWEEP_MEMBERS["two_mode"]), 1000).exact is None
+    assert t.blocks is None and t.limit == -1.0
+    rk4 = shooting._table(make_coefficient(SWEEP_MEMBERS["two_mode"]), 1000)
+    assert rk4.exact is None and rk4.blocks.shape == (63, 4, 33) and rk4.limit > 0.0
 
 
 def test_only_shooting_knows_the_grid():

@@ -42,8 +42,8 @@ for cfg in configs/*.json; do
   run discriminant --config "$cfg" --out "$out/discriminant_$stem"
 done
 run spectrum --config configs/two_mode.json --lambda-max 4000 --out "$out/spectrum_two_mode_4000"
-# blocks of 8 rows, 512 a call: the one-lambda tree and the Sturm count's
-# fold over a block list longer than 256
+# above the blocks' limit (5.0e4), 4096 single rows a call: the one-lambda
+# tree and the Sturm count's fold over a long row list
 run spectrum --config configs/two_mode.json --lambda-min 1.5e5 --lambda-max 1.55e5 \
   --out "$out/spectrum_two_mode_150000"
 run verify all --config configs/two_mode.json --out "$out/verify_two_mode"
@@ -59,12 +59,16 @@ for stem in atom_at_zero atoms16 samples16 two_mode16; do
   run discriminant --config "$tmp/$stem.json" --out "$out/discriminant_$stem"
 done
 # wide sweeps below and far above the default window: the batched sweep's
-# blocks of rows, with atoms and at negative lambda
-for cfg in configs/two_mode.json "$tmp/atom_at_zero.json"; do
+# blocks and rows, with atoms and at negative lambda, and exact rows alone
+for cfg in configs/two_mode.json "$tmp/atom_at_zero.json" "$tmp/atoms16.json"; do
   stem=$(basename "$cfg" .json)
   run discriminant --config "$cfg" --lambda-min=-500 --lambda-max 50000 --count 2000 \
     --out "$out/discriminant_${stem}_wide"
 done
+# above the blocks' limit of an RK4 table with atoms (541): one lambda's rows
+# and their Sturm count
+run spectrum --config "$tmp/atom_at_zero.json" --lambda-min 600 --lambda-max 1200 \
+  --out "$out/spectrum_atom_at_zero_600"
 # the default window holds 15 of atoms16's 16 auxiliary points; 62 holds all
 run spectrum --config "$tmp/atoms16.json" --lambda-max 62 --out "$out/spectrum_atoms16_all"
 run verify gradients --config "$tmp/atom_at_zero.json" --out "$out/verify_atom_at_zero"
