@@ -13,9 +13,11 @@ at those nodes once, when it is built.
 
 Every operation but the dense pair and the hat runs reads the plain table.
 An RK4 table composes runs of 16 rows into blocks I + B, whose entries are
-polynomials in lambda, once, when it is built, and fixes the largest |lambda|
-at which every block keeps a phase within 1 and its highest power of lambda
-within 2^1000.  For one lambda it admits, one matvec with the powers of
+polynomials in lambda, once, when it is built: a pairwise tree whose sums
+run with the blocks as the innermost axis, the blocks stored C-contiguous
+for the evaluations to read.  It also fixes the largest |lambda| at which
+every block keeps a phase within 1 and its highest power of lambda within
+2^1000.  For one lambda it admits, one matvec with the powers of
 lambda evaluates the blocks.  Every other lambda, and every lambda of an
 exact table, takes the rows themselves, formed from c as the dense pair
 forms them, so that no lambda^2 overflows.  The transfer matrix is the
@@ -573,29 +575,36 @@ def _walk(blocks, lams, column):
 
 
 def _blocks(polys):
-    """Coefficients (ceil(n / _BLOCK_ROWS), 4, _BLOCK_ROWS d + 1) of D of each
-    run of _BLOCK_ROWS rows of polys (n, 4, d + 1), the rows of D as
-    polynomials in lambda; the last block is padded with zero rows.  A
-    pairwise tree composes all blocks at once, one level per halving."""
+    """Coefficients (ceil(n / _BLOCK_ROWS), 4, _BLOCK_ROWS d + 1), C-contiguous,
+    of D of each run of _BLOCK_ROWS rows of polys (n, 4, d + 1), the rows of D
+    as polynomials in lambda; the last block is padded with zero rows.  A
+    pairwise tree composes all blocks at once, one level per halving, its
+    sums running over the blocks as the innermost axis (_compose_polys); the
+    last level's strided result is copied once, so that every evaluation
+    reads contiguous blocks."""
     e = np.concatenate((polys, np.zeros((-len(polys) % _BLOCK_ROWS,) + polys.shape[1:])))
     k = _BLOCK_ROWS
     while k > 1:
         e = _compose_polys(e[1::2], e[0::2])
         k //= 2
-    return e
+    return np.ascontiguousarray(e)
 
 
 def _compose_polys(a, b):
     """_compose for rows (N, 4, d + 1) of polynomial coefficients: D of
-    (I + a)(I + b), b acting first, of degree 2d."""
+    (I + a)(I + b), b acting first, of degree 2d, a view of an array whose
+    innermost axis is N.  The sums run over that axis, each add over N
+    contiguous lanes, in the order of a loop over the coefficients, and one
+    matmul forms every product (it fuses multiply-adds, as elementwise
+    products would not), so the bits are the loop's (tests pin them)."""
     n, terms = len(a), a.shape[-1]
     a, b = a.reshape(n, 2, 2, terms), b.reshape(n, 2, 2, terms)
     # (a b)[i, j] coefficient by coefficient, one matmul over l:
-    # prod[n, i, r, j, s] = sum_l a[n, i, l, r] b[n, l, j, s], of degree r + s
-    prod = np.matmul(a.transpose(0, 1, 3, 2).reshape(n, 2 * terms, 2),
-                     b.reshape(n, 2, 2 * terms)).reshape(n, 2, terms, 2, terms)
-    out = np.zeros((n, 2, 2, 2 * terms - 1))
-    out[..., :terms] = a + b
+    # prod[i, r, j, s, n] = sum_l a[n, i, l, r] b[n, l, j, s], of degree r + s
+    prod = np.moveaxis(np.matmul(a.transpose(0, 1, 3, 2).reshape(n, 2 * terms, 2),
+                                 b.reshape(n, 2, 2 * terms)).reshape(n, 2, terms, 2, terms), 0, -1)
+    out = np.zeros((2, 2, 2 * terms - 1, n))
+    out[:, :, :terms] = np.moveaxis(a + b, 0, -1)
     for r in range(terms):
-        out[..., r:r + terms] += prod[:, :, r]
-    return out.reshape(n, 4, 2 * terms - 1)
+        out[:, :, r:r + terms] += prod[:, r]
+    return np.moveaxis(out, -1, 0).reshape(n, 4, 2 * terms - 1)

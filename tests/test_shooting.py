@@ -445,7 +445,8 @@ def test_memoised_tables_are_read_only():
             a[0] = 1.0
     # the plain RK4 table's arrays, its blocks among them, built with it
     plain = shooting._table(m, 1000)
-    assert plain.blocks is not None
+    # C-contiguous: a strided block array would make every evaluation copy it
+    assert plain.blocks is not None and plain.blocks.flags.c_contiguous
     for a in (a for a in plain if isinstance(a, np.ndarray)):
         with pytest.raises(ValueError):
             a.flat[0] = 1.0
@@ -715,6 +716,47 @@ def test_exact_rows_are_built_with_the_table():
     assert t.blocks is None and t.limit == -1.0
     rk4 = shooting._table(make_coefficient(SWEEP_MEMBERS["two_mode"]), 1000)
     assert rk4.exact is None and rk4.blocks.shape == (63, 4, 33) and rk4.limit > 0.0
+
+
+def compose_polys_by_coefficient(a, b):
+    """The composition of rows of polynomial coefficients as first written,
+    one coefficient at a time with the rows outermost: the oracle for the
+    bits of shooting._compose_polys."""
+    n, terms = len(a), a.shape[-1]
+    a, b = a.reshape(n, 2, 2, terms), b.reshape(n, 2, 2, terms)
+    prod = np.matmul(a.transpose(0, 1, 3, 2).reshape(n, 2 * terms, 2),
+                     b.reshape(n, 2, 2 * terms)).reshape(n, 2, terms, 2, terms)
+    out = np.zeros((n, 2, 2, 2 * terms - 1))
+    out[..., :terms] = a + b
+    for r in range(terms):
+        out[..., r:r + terms] += prod[:, :, r]
+    return out.reshape(n, 4, 2 * terms - 1)
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape and np.array_equal(got, want)
+    assert np.ascontiguousarray(got).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 37, 2048])
+@pytest.mark.parametrize("degree", [2, 4, 8, 16])
+def test_composed_polynomials_keep_the_bits_of_the_coefficient_loop(degree, n):
+    # magnitudes over six decades and exact zeros, as padded rows have
+    rng = np.random.default_rng(1000 * degree + n)
+    a, b = (rng.standard_normal((n, 4, degree + 1)) * 10.0 ** rng.uniform(-3, 3, (n, 4, 1))
+            * (rng.random((n, 4, degree + 1)) > 0.1) for _ in range(2))
+    assert_same_bits(shooting._compose_polys(a, b), compose_polys_by_coefficient(a, b))
+
+
+@pytest.mark.parametrize("name", ["two_mode", "const"])
+def test_blocks_keep_the_bits_of_the_coefficient_loop(name):
+    t = shooting._table(make_coefficient(SAMPLED_MEMBERS[name]), shooting.DEFAULT_STEPS)
+    polys = shooting._rows(t)
+    e = np.concatenate((polys, np.zeros((-len(polys) % shooting._BLOCK_ROWS,) + polys.shape[1:])))
+    for _ in range(int(math.log2(shooting._BLOCK_ROWS))):
+        e = compose_polys_by_coefficient(e[1::2], e[0::2])
+    assert_same_bits(shooting._blocks(polys), e)
+    assert_same_bits(t.blocks, e)
 
 
 def test_only_shooting_knows_the_grid():

@@ -3,18 +3,26 @@
     python3 tools/pairs.py PARENT --workload NAME --seed N --pairs N
                            [--seconds S] [--out BENCH.json]
 
-Exports PARENT with `git archive` into a temporary directory, then runs the
-unchanged `perfbench/run.py` N times on each side, alternating which side
-goes first (even-numbered pairs, from 0, run the parent first).  Every run is
-a fresh process of its side's own perfbench on its side's own sources.
+Exports both sides alike, each with `git archive` into its own temporary
+directory: PARENT, and the working tree's tracked files as `git stash create`
+records them (HEAD when the tree is clean), so that neither side runs beside
+a `__pycache__` or other untracked files; stage a new file to include it.
+Then runs the unchanged `perfbench/run.py` N times on each side, alternating
+which side goes first (even-numbered pairs, from 0, run the parent first).
+Every run is a fresh process of its side's own perfbench on its side's own
+sources.
 
 The summary holds, per end-to-end metric of BENCHMARK.json, both sides'
 medians and quartiles and the number of pairs the change wins (ties count for
 neither side), with the failed ops of each side and whether every run was
-correct.  With --out the series "NAME seed N" is written into that file,
-beside the series already there, in the layout of the committed BENCH_*.json
-files; a "claim" already in the file is kept.  Run from anywhere inside the
-repository; the tree under test is the repository's working tree.
+correct.  Per metric it also says whether the change shows a gain (at least
+10 pairs, 9 in 10 of them won, and medians further apart than the parent's
+quartiles) and whether the change's median is worse than the parent's by
+more than the metric's bound in BENCHMARK.json, a share of the parent's
+median (worse_by gives that share).  With --out the series "NAME seed N" is
+written into that file, beside the series already there, in the layout of
+the committed BENCH_*.json files; a "claim" already in the file is kept.
+Run from anywhere inside the repository.
 """
 
 from __future__ import annotations
@@ -34,6 +42,11 @@ SIDES = ("parent", "change")
 def git(*args):
     return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True,
                           text=True).stdout.strip()
+
+
+def working_tree():
+    """A commit holding the working tree's tracked files: HEAD when clean."""
+    return git("stash", "create") or git("rev-parse", "HEAD")
 
 
 def export(rev, into):
@@ -65,13 +78,20 @@ def summarise(runs, metrics):
     for metric in metrics:
         name, sign = metric["name"], 1.0 if metric["better"] == "higher" else -1.0
         values = {side: [r[name]["value"] for r in runs[side]] for side in SIDES}
-        entry = {}
+        entry, medians, spread = {}, {}, {}
         for side in SIDES:
-            quartiles = statistics.quantiles(values[side], n=4, method="inclusive")
-            entry[f"{side}_median"] = round(statistics.median(values[side]), 6)
-            entry[f"{side}_quartiles"] = [round(quartiles[0], 6), round(quartiles[2], 6)]
-        entry["change_wins"] = sum(sign * (c - p) > 0.0
-                                   for p, c in zip(values["parent"], values["change"]))
+            q1, _, q3 = statistics.quantiles(values[side], n=4, method="inclusive")
+            medians[side], spread[side] = statistics.median(values[side]), q3 - q1
+            entry[f"{side}_median"] = round(medians[side], 6)
+            entry[f"{side}_quartiles"] = [round(q1, 6), round(q3, 6)]
+        pairs = len(values["parent"])
+        wins = sum(sign * (c - p) > 0.0 for p, c in zip(values["parent"], values["change"]))
+        gap = sign * (medians["change"] - medians["parent"])
+        # the share of the parent's median by which the change's median is worse
+        worse = -gap / medians["parent"] if medians["parent"] else 0.0
+        entry.update(change_wins=wins,
+                     gain=pairs >= 10 and 10 * wins >= 9 * pairs and gap > spread["parent"],
+                     worse_by=round(worse, 4), worse_beyond_bound=worse > metric["bound"])
         summary[name] = entry
     return summary
 
@@ -91,9 +111,10 @@ def main(argv=None):
     parent = git("rev-parse", "--short", args.parent)
 
     runs, env = {side: [] for side in SIDES}, {}
-    with tempfile.TemporaryDirectory() as tmp:
-        export(parent, tmp)
-        trees = {"parent": Path(tmp), "change": ROOT}
+    with tempfile.TemporaryDirectory() as old, tempfile.TemporaryDirectory() as new:
+        export(parent, old)
+        export(working_tree(), new)
+        trees = {"parent": Path(old), "change": Path(new)}
         for pair in range(args.pairs):
             for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
                 result, env = perfbench(trees[side], args.workload, args.seed, args.seconds)
@@ -117,8 +138,9 @@ def main(argv=None):
             "change": git("rev-parse", "--short", "HEAD") + (" with uncommitted edits" if dirty
                                                              else ""),
             "order": ("alternating pairs; even-numbered pairs (from 0) run the parent first, "
-                      "odd pairs the change first; the parent a fresh `git archive` of its "
-                      "commit, the change the working tree"),
+                      "odd pairs the change first; each side a fresh `git archive` in its "
+                      "own temporary directory, the parent of its commit, the change of the "
+                      "working tree's tracked files (`git stash create`, or HEAD when clean)"),
         })
         bench.setdefault("summary", {})[series] = summary
         bench.setdefault("runs", {})[series] = runs
