@@ -40,8 +40,13 @@ at its row ends too, once, when it is built, and the pair carries them, so
 no other module samples m on its grid.  The finite-difference hat runs
 (bumped_endpoints) read the dense table too: a hat bump of m_s changes only
 the steps under it, so over a run [a, b) of them the bumped monodromy is
-U(1) U(b)^-1 H U(a), from the base dense pairs U and the run H alone.  The
-hat at x = 0 wraps, so it has a run from 0 and one to 1, a factor each.
+U(1) U(b)^-1 H U(a), from the base pair U at the runs' ends and at x = 1 and
+the run H alone.  Those base states alone are formed, for every lambda at
+once: the rows between consecutive ends compose by a pairwise tree, and one
+prefix scan over these runs gives the states.  H steps the rows under the
+hat, their coefficients in lambda formed once from m_s + eps hat at their
+nodes, as _rows forms a table's.  The hat at x = 0 wraps, so it has a run
+from 0 and one to 1, a factor each.
 
 A table is built once per (m, steps, x1, dense) per process, however a
 caller spells the defaults, and kept read-only in a small LRU memo keyed by
@@ -264,21 +269,25 @@ def _step_entries(ca, cb, cc, h):
             s * (2.0 * cb + cc) + q * cb * cc)
 
 
-def _step_polys(ms, h):
-    """Coefficients (n, 4, 3) of lambda^0, ^1, ^2 in the rows of D for c = 1/4 - lambda m
-    (ms: m at the 2n+1 nodes); a batch sharing m pays one matmul per step."""
-    ma, mb, mc = ms[0:-1:2], ms[1::2], ms[2::2]
+def _step_polys(ma, mb, mc, h):
+    """Coefficients (..., 4, 3) of lambda^0, ^1, ^2 in the rows of D for
+    c = 1/4 - lambda m, m taking the values ma, mb, mc at the steps' three
+    nodes; a batch sharing m pays one matmul per step."""
     s = h * h / 6.0
     q = h ** 4 / 24.0
-    zero = np.zeros_like(mb)
-    diag = 0.75 * s + q / 16.0 + zero
-    polys = ((diag, -s * (ma + 2.0 * mb) - 0.25 * q * (ma + mb), q * ma * mb),
-             (h * (1.0 + 0.25 * s) + zero, -(h * s) * mb, zero),
-             (h * (0.25 + s / 16.0) + zero,
-              -(h / 6.0) * (ma + 4.0 * mb + mc) - (0.125 * h * s) * (ma + 2.0 * mb + mc),
-              (0.5 * h * s) * mb * (ma + mc)),
-             (diag, -s * (2.0 * mb + mc) - 0.25 * q * (mb + mc), q * mb * mc))
-    return np.moveaxis(np.array(polys), -1, 0)
+    polys = np.empty((4, 3) + np.broadcast_shapes(np.shape(mb), np.shape(h)))
+    polys[0, 0] = polys[3, 0] = 0.75 * s + q / 16.0
+    polys[0, 1] = -s * (ma + 2.0 * mb) - 0.25 * q * (ma + mb)
+    polys[0, 2] = q * ma * mb
+    polys[1, 0] = h * (1.0 + 0.25 * s)
+    polys[1, 1] = -(h * s) * mb
+    polys[1, 2] = 0.0
+    polys[2, 0] = h * (0.25 + s / 16.0)
+    polys[2, 1] = -(h / 6.0) * (ma + 4.0 * mb + mc) - (0.125 * h * s) * (ma + 2.0 * mb + mc)
+    polys[2, 2] = (0.5 * h * s) * mb * (ma + mc)
+    polys[3, 1] = -s * (2.0 * mb + mc) - 0.25 * q * (mb + mc)
+    polys[3, 2] = q * mb * mc
+    return np.moveaxis(polys, (0, 1), (-2, -1))
 
 
 def _exact(h):
@@ -327,7 +336,9 @@ def _transfer(e):
     while len(e) > 1:
         k = len(e) % 2      # an odd row out waits at the front
         a, b = e[k + 1::2], e[k::2]
-        e = np.concatenate((e[:k], a + b + a @ b))
+        ab = a + b
+        ab += a @ b
+        e = np.concatenate((e[:1], ab)) if k else ab
     return (e[0].ravel() + (1.0, 0.0, 0.0, 1.0)).tolist()
 
 
@@ -389,18 +400,23 @@ def bumped_endpoints(m, lams, sites, n, eps, steps=DEFAULT_STEPS):
     """(y2(1), y2'(1)) for m_s + eps hat, then m_s - eps hat, at each site and
     each lambda of the array lams, axes (sign, site, lambda).  A site's hat has
     unit mass and width 2/n and wraps; each run of steps under a hat is
-    stepped in turn, all lanes together, on one dense table."""
+    stepped in turn, all lanes together, on one dense table.  The base pair
+    is formed only at the runs' ends and at x = 1 (_states); a run's rows
+    come from their coefficients in lambda, formed once, one matmul per
+    step."""
     t = _table(m, steps, dense=True)
     xs = t.xs
-    # rows (y1, y2, y1', y2') of the base pairs, lambda last
-    u = np.array([_dense(t, lam) for lam in lams]).reshape(len(lams), 4, -1).transpose(1, 2, 0)
+    lams = np.asarray(lams, dtype=float)
     centre = np.mod(sites, n) / n
-    v = np.multiply.outer([0.0, 1.0], np.ones((2, centre.size, len(lams))))
+    v = np.multiply.outer([0.0, 1.0], np.ones((2, centre.size, lams.size)))
     # every site's run from max(centre - 1/n, 0), then site 0's tail run to 1
     head = (np.arange(centre.size), np.maximum(centre - 1.0 / n, 0.0), centre + 1.0 / n)
-    for j, lo, hi in (head, (np.nonzero(centre == 0.0)[0], 1.0 - 1.0 / n, 1.0)):
-        a = np.searchsorted(xs, np.broadcast_to(lo, j.shape), "right") - 1
-        b = np.searchsorted(xs, np.broadcast_to(hi, j.shape), "left")
+    runs = [(j, np.searchsorted(xs, np.broadcast_to(lo, j.shape), "right") - 1,
+             np.searchsorted(xs, np.broadcast_to(hi, j.shape), "left"))
+            for j, lo, hi in (head, (np.nonzero(centre == 0.0)[0], 1.0 - 1.0 / n, 1.0))]
+    ends, u = _states(t, np.concatenate([r for _, a, b in runs for r in (a, b)]), lams)
+    powers = _powers(lams, 3)
+    for j, a, b in runs:
         # rows (offset, site): table rows a + 1 ... b take state a to state b;
         # an offset past a run's end is a zero-length step
         off = np.arange(np.max(b - a, initial=0))[:, None]
@@ -409,18 +425,57 @@ def bumped_endpoints(m, lams, sites, n, eps, steps=DEFAULT_STEPS):
         hat = n * np.clip(1.0 - n * np.abs(np.mod(t.nodes[node] - centre[j] + 0.5, 1.0) - 0.5),
                           0.0, None)
         base = 0.0 if t.ms is None else t.ms[node][:, :, None]
-        msub = (base + hat[:, :, None] * [[eps], [-eps]])[..., None]
-        h, p = (np.where(off < b - a, w[r], 0.0)[..., None] for w in (t.h, t.p))
-        col = _times(u[:, a], v[:, :, j])
-        for k in range(off.size):
-            d00, d01, d10, d11 = _step_entries(*(0.25 - lams * msub[k]), h[k])
-            col = _apply((d00, d01, d10 - lams * p[k], d11), *col)
+        # m at the nodes, axes (offset, node, sign, site)
+        mk = base + hat[:, :, None] * [[eps], [-eps]]
+        h, p = (np.where(off < b - a, w[r], 0.0)[:, None] for w in (t.h, t.p))
+        polys = _step_polys(mk[:, 0], mk[:, 1], mk[:, 2], h)
+        polys[..., 2, 1] -= p
+        # axes (offset, entry, sign, site, power): one matmul per offset
+        polys = np.moveaxis(polys, -2, 1)
+        ua, ub = u[:, np.searchsorted(ends, a)], u[:, np.searchsorted(ends, b)]
+        col = _times(ua, v[:, :, j])
+        for k in range(len(off)):
+            col = _apply(polys[k] @ powers, *col)
         # v + U(b)^-1 (H U(a) v - U(b) v): U(b)^-1 amplifies rounding where
         # c = 1/4 - lambda m > 0, so it maps back only the change H makes
-        ub = u[:, b]
         v[:, :, j] += (_times((ub[3], -ub[1], -ub[2], ub[0]), col - _times(ub, v[:, :, j]))
                        / (ub[0] * ub[3] - ub[1] * ub[2]))
     return _times(u[:, -1], v)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _states(t, rows, lams):
+    """(ends, u): u the rows (y1, y2, y1', y2') of the dense pair at the ends
+    of the rows `ends` of the dense table t, lambda last.  ends holds the
+    rows asked for and the last row, and inside a longer gap every width-th
+    row, width the power of two at or above the mean gap, so that no run of
+    rows between consecutive ends is longer than width.  The runs, padded
+    with zero steps, are evaluated at every lambda from their coefficients
+    (_rows) by one matmul and compose by a pairwise tree; one prefix scan
+    over the runs gives the states."""
+    polys = _rows(t)
+    size, terms = len(polys), polys.shape[-1]
+    rows = sorted({*rows.tolist(), size - 1})
+    width = 1 << (-(-size // len(rows)) - 1).bit_length()
+    # a run longer than width ends every width rows as well
+    ends, last = [], -1
+    for r in rows:
+        ends += range(last + width, r, width)
+        ends.append(r)
+        last = r
+    ends = np.array(ends)
+    # the rows of the runs, axes (entry, row of the run, run, power), a zero
+    # row, which composes as the identity, padding each run; then at every
+    # lambda, by one matmul
+    e = np.zeros((4, size + 1, terms))
+    e[:, :-1] = np.moveaxis(polys, 1, 0)
+    run = ends - np.arange(width)[::-1, None]
+    d = e[:, np.where(run > np.r_[-1, ends[:-1]], run, size)] @ _powers(lams, terms)
+    while len(d[0]) > 1:
+        d = np.array(_compose(d[:, 1::2], d[:, 0::2]))
+    u = _prefix_products(d[:, 0]) + np.array((1.0, 0.0, 0.0, 1.0))[:, None, None]
+    _check_guard(u)
+    return ends, u
 
 
 def fundamental_matrix(m, lam, x=1.0, steps=DEFAULT_STEPS):
@@ -490,14 +545,14 @@ def _block_limit(t):
 
 
 def _rows(t):
-    """Coefficients (n, 4, d + 1) of the rows of D of the plain table t as
+    """Coefficients (n, 4, d + 1) of the rows of D of the table t as
     polynomials in lambda, the jump -lambda p in d10: d = 1 on exact rows,
     whose D is affine in lambda, d = 2 on RK4 rows."""
     if t.ms is None:
         polys = np.zeros((t.h.size, 4, 2))
         polys[:, :, 0] = t.exact.T
     else:
-        polys = _step_polys(t.ms, t.h)
+        polys = _step_polys(t.ms[0:-1:2], t.ms[1::2], t.ms[2::2], t.h)
     polys[:, 2, 1] -= t.p
     return polys
 
@@ -529,8 +584,8 @@ def _powers(lams, terms):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def endpoint_column(m, lams, column=(0.0, 1.0), steps=DEFAULT_STEPS, x1=1.0):
-    """Endpoint (psi, psi') at x1 for an array of spectral points.
+def endpoint_column(m, lams, column=(0.0, 1.0), steps=DEFAULT_STEPS):
+    """Endpoint (psi, psi') at x = 1 for an array of spectral points.
 
     column is the Cauchy data (psi, psi') at 0 shared by the batch; a (2, k)
     array holds k columns, which advance in one pass and give results with a
@@ -542,7 +597,7 @@ def endpoint_column(m, lams, column=(0.0, 1.0), steps=DEFAULT_STEPS, x1=1.0):
     lams = np.asarray(lams, dtype=float)
     column = np.asarray(column, dtype=float)
     flat = lams.ravel()
-    t = _table(m, steps, x1)
+    t = _table(m, steps)
     blocked = np.abs(flat) <= t.limit
     out = np.empty((2,) + column.shape[1:] + flat.shape)
     if blocked.any():

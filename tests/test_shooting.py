@@ -759,6 +759,71 @@ def test_blocks_keep_the_bits_of_the_coefficient_loop(name):
     assert_same_bits(t.blocks, e)
 
 
+def transfer_by_concatenate(e):
+    """shooting._transfer as first written, every level of the pairwise tree
+    concatenating its odd row out, empty or not, in front of a + b + a @ b:
+    the oracle for the bits of the tree."""
+    if len(e) <= shooting._FOLD_ROWS:
+        y1, y2, dy1, dy2 = 1.0, 0.0, 0.0, 1.0
+        for d00, d01, d10, d11 in e.tolist():
+            y1, dy1 = y1 + (d00 * y1 + d01 * dy1), dy1 + (d10 * y1 + d11 * dy1)
+            y2, dy2 = y2 + (d00 * y2 + d01 * dy2), dy2 + (d10 * y2 + d11 * dy2)
+        return y1, y2, dy1, dy2
+    e = e.reshape(-1, 2, 2)
+    while len(e) > 1:
+        k = len(e) % 2
+        a, b = e[k + 1::2], e[k::2]
+        e = np.concatenate((e[:k], a + b + a @ b))
+    return (e[0].ravel() + (1.0, 0.0, 0.0, 1.0)).tolist()
+
+
+@pytest.mark.parametrize("transposed", [False, True])
+@pytest.mark.parametrize("n", [1, 2, 3, 129, 256, 257])
+def test_transfer_keeps_the_bits_of_the_concatenating_tree(n, transposed):
+    # rows over six decades, some exactly zero; transposed, as _evaluated
+    # passes a table's rows
+    rng = np.random.default_rng(n)
+    e = (rng.standard_normal((4, n)) * 10.0 ** rng.uniform(-6, 0, n)
+         * (rng.random((4, n)) > 0.1))
+    e = e.T if transposed else np.ascontiguousarray(e.T)
+    assert (np.array(shooting._transfer(e)).tobytes()
+            == np.array(transfer_by_concatenate(e)).tobytes())
+
+
+def step_polys_stacked(ma, mb, mc, h):
+    """shooting._step_polys as first written, its twelve coefficient arrays
+    broadcast against zeros and stacked: the oracle for its bits."""
+    s = h * h / 6.0
+    q = h ** 4 / 24.0
+    zero = np.zeros_like(mb)
+    diag = 0.75 * s + q / 16.0 + zero
+    polys = ((diag, -s * (ma + 2.0 * mb) - 0.25 * q * (ma + mb), q * ma * mb),
+             (h * (1.0 + 0.25 * s) + zero, -(h * s) * mb, zero),
+             (h * (0.25 + s / 16.0) + zero,
+              -(h / 6.0) * (ma + 4.0 * mb + mc) - (0.125 * h * s) * (ma + 2.0 * mb + mc),
+              (0.5 * h * s) * mb * (ma + mc)),
+             (diag, -s * (2.0 * mb + mc) - 0.25 * q * (mb + mc), q * mb * mc))
+    return np.moveaxis(np.array(polys), (0, 1), (-2, -1))
+
+
+@pytest.mark.parametrize("dense", [False, True])
+@pytest.mark.parametrize("name", ["two_mode", "two_mode16", "atom_at_zero"])
+def test_step_polys_keep_the_bits_of_the_stacked_formula(name, dense):
+    # a plain table of one stretch has one float h, a dense one an array
+    t = shooting._table(make_coefficient(SAMPLED_MEMBERS[name]), 1000, dense=dense)
+    nodes = (t.ms[0:-1:2], t.ms[1::2], t.ms[2::2], t.h)
+    assert_same_bits(shooting._step_polys(*nodes), step_polys_stacked(*nodes))
+
+
+def test_step_polys_of_hat_rows_keep_the_bits_of_the_stacked_formula():
+    # axes (offset, sign, site) for m, (offset, 1, site) for h, zero-length
+    # steps among them, as the hat runs form them
+    rng = np.random.default_rng(5)
+    ma, mb, mc = rng.uniform(-1.0, 2.0, (3, 33, 2, 64))
+    h = np.where(rng.random((33, 1, 64)) < 0.2, 0.0, 1.0 / 4096)
+    assert_same_bits(shooting._step_polys(ma, mb, mc, h), step_polys_stacked(ma, mb, mc, h))
+
+
 def test_only_shooting_knows_the_grid():
     # no other module imports a private name of shooting or reads one off it
     src = pathlib.Path(shooting.__file__).parent

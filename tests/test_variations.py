@@ -281,6 +281,60 @@ def test_bumped_endpoints_match_the_bumped_coefficient(name):
                 assert abs(dy2[i, k, j] - U.dy2) <= 1e-10 * scale
 
 
+def bumped_endpoints_by_dense_scan(m, lams, sites, n, eps, steps):
+    """shooting.bumped_endpoints as first written, the oracle for its run-end
+    states and its hat rows' coefficients in lambda: the base pairs from one
+    full dense prefix scan per lambda, each hat row from c = 1/4 - lambda m
+    at its nodes."""
+    t = shooting._table(m, steps, dense=True)
+    xs = t.xs
+    u = np.array([shooting._dense(t, lam) for lam in lams]).reshape(len(lams), 4, -1)
+    u = u.transpose(1, 2, 0)
+    centre = np.mod(sites, n) / n
+    v = np.multiply.outer([0.0, 1.0], np.ones((2, centre.size, len(lams))))
+    head = (np.arange(centre.size), np.maximum(centre - 1.0 / n, 0.0), centre + 1.0 / n)
+    for j, lo, hi in (head, (np.nonzero(centre == 0.0)[0], 1.0 - 1.0 / n, 1.0)):
+        a = np.searchsorted(xs, np.broadcast_to(lo, j.shape), "right") - 1
+        b = np.searchsorted(xs, np.broadcast_to(hi, j.shape), "left")
+        off = np.arange(np.max(b - a, initial=0))[:, None]
+        r = np.minimum(a + off, xs.size - 2) + 1
+        node = 2 * r[:, None] + np.arange(3)[:, None]
+        hat = n * np.clip(1.0 - n * np.abs(np.mod(t.nodes[node] - centre[j] + 0.5, 1.0) - 0.5),
+                          0.0, None)
+        base = 0.0 if t.ms is None else t.ms[node][:, :, None]
+        msub = (base + hat[:, :, None] * [[eps], [-eps]])[..., None]
+        h, p = (np.where(off < b - a, w[r], 0.0)[..., None] for w in (t.h, t.p))
+        col = shooting._times(u[:, a], v[:, :, j])
+        for k in range(off.size):
+            d00, d01, d10, d11 = shooting._step_entries(*(0.25 - lams * msub[k]), h[k])
+            col = shooting._apply((d00, d01, d10 - lams * p[k], d11), *col)
+        ub = u[:, b]
+        v[:, :, j] += (shooting._times((ub[3], -ub[1], -ub[2], ub[0]),
+                                       col - shooting._times(ub, v[:, :, j]))
+                       / (ub[0] * ub[3] - ub[1] * ub[2]))
+    return shooting._times(u[:, -1], v)
+
+
+@pytest.mark.parametrize("sites", [[0, 1, 19, 24, 32, 63], [1, 19, 24, 63]])
+@pytest.mark.parametrize("name", sorted(BUMPED_MEMBERS))
+def test_bumped_endpoints_match_the_dense_scan(name, sites):
+    # the hat at site 0 wraps, the one at 63 ends at x = 1, those at 0, 1,
+    # 19, 24 and 63 straddle an atom of mixed, peakon_offset or
+    # grid_end_off_atom, and a site list without 0 has an empty tail run.
+    # The map-back U(1) U(b)^-1 amplifies the rounding of the base states by
+    # up to |U(1)|, so the bound is 1e-12 relative times |U(1)| (Frobenius),
+    # which is below 2 at lambda = 0.3 and reaches 5.6e4 at lambda = -50
+    m = make_coefficient(BUMPED_MEMBERS[name])
+    n, steps, eps = 64, 1024, 1e-3
+    lams = np.array([-50.0, 0.3, 39.4, 551.5])
+    got = np.array(shooting.bumped_endpoints(m, lams, sites, n, eps, steps))
+    want = np.array(bumped_endpoints_by_dense_scan(m, lams, sites, n, eps, steps))
+    norm = [math.hypot(U.y1, U.y2, U.dy1, U.dy2)
+            for U in (fundamental_matrix(m, lam, steps=steps) for lam in lams)]
+    scale = np.max(np.abs(want), axis=0)
+    assert np.all(np.abs(got - want) <= 1e-12 * np.array(norm) * scale)
+
+
 def test_batched_chebyshev_roots_match_chebroots():
     rng = np.random.default_rng(3)
     nodes = np.cos(np.pi * (np.arange(8) + 0.5) / 8.0)
