@@ -47,6 +47,7 @@ EDGE_TOL = 1e-6         # relative distance at which a point counts as on an edg
 _BRENT_XTOL = 1e-13
 _BRENT_RTOL = 8.9e-16   # just above 4 * machine eps, the least rtol brentq accepts
 _EIG_ERR = 4.0 * np.finfo(float).eps   # eigvalsh error, in n max|nu|, that a secant step may mend
+_WIDENINGS = 8          # refine_point's window grows at most 4^8 times
 _KINDS = {1.0: "periodic", -1.0: "antiperiodic"}
 
 
@@ -129,14 +130,18 @@ def auxiliary_spectrum(m, lam_min=GUARD_BAND, lam_max=None, count=None,
             for mu, index in itertools.islice(found, count)]
 
 
+def _signed_count(m, lam, steps):
+    """#{0 < mu < lam} above 0, -#{lam < mu < 0} below: nondecreasing in lam."""
+    return int(math.copysign(zero_count(m, lam, steps), lam))
+
+
 def _searched_points(m, lo, lam_max, count, steps, g):
     """(mu, index) of the points of the window from lo up, ascending: the
     Sturm-count bisection of auxiliary_spectrum."""
 
     @functools.lru_cache(maxsize=None)
     def signed(lam):
-        # #{0 < mu < lam} above 0, -#{lam < mu < 0} below: nondecreasing in lam
-        return int(math.copysign(zero_count(m, lam, steps), lam))
+        return _signed_count(m, lam, steps)
 
     tops = [float(lam_max) if lam_max is not None else max(2.0 * lo, lo + 50.0)]
     while lam_max is None and signed(tops[-1]) - signed(lo) < count and len(tops) < 12:
@@ -244,11 +249,21 @@ def _assemble_point(index, mu, U, steps):
 
 def refine_point(m, point, steps):
     """The point of the same Sturm index at a different step count, searched
-    for by auxiliary_spectrum within 17 max(1e-7, 1e-9 max(1, |mu|)) of mu."""
+    for by auxiliary_spectrum in the first of the windows within w, 4 w,
+    16 w, ... 4^_WIDENINGS w of mu, w = 17 max(1e-7, 1e-9 max(1, |mu|)),
+    that holds the index by the Sturm count at `steps`: a coarse step count
+    moves a point by more than w, and a point within w is found there, as
+    the search counts the same ends."""
+    i = point.index
     w = 17.0 * max(1e-7, 1e-9 * max(1.0, abs(point.mu)))
-    for pt in auxiliary_spectrum(m, point.mu - w, point.mu + w, steps=steps):
-        if pt.index == point.index:
-            return pt
+    for _ in range(_WIDENINGS + 1):
+        a, b = point.mu - w, point.mu + w
+        lo, hi = _signed_count(m, a, steps), _signed_count(m, b, steps)
+        if (lo < i <= hi) if i > 0 else (lo <= i < hi):
+            for pt in auxiliary_spectrum(m, a, b, steps=steps):
+                if pt.index == i:
+                    return pt
+        w *= 4.0
     raise RuntimeError(f"lost the root near mu={point.mu:.12g} at steps={steps}")
 
 

@@ -17,10 +17,16 @@ polynomials in lambda, once, when it is built: a pairwise tree whose sums
 run with the blocks as the innermost axis, the blocks stored C-contiguous
 for the evaluations to read.  It also fixes the largest |lambda| at which
 every block keeps a phase within 1 and its highest power of lambda within
-2^1000.  For one lambda it admits, one matvec with the powers of
-lambda evaluates the blocks.  Every other lambda, and every lambda of an
-exact table, takes the rows themselves, formed from c as the dense pair
-forms them, so that no lambda^2 overflows.  The transfer matrix is the
+2^1000, and for each power of lambda the |lambda| from which a block's term
+in it can reach 2^-200 of the smallest constant term of any block entry.
+For one lambda it admits, one matvec of the terms that lambda reaches with
+its powers evaluates the blocks: 17 of 33 up to |lambda| = 500 on a smooth
+m.  A dot product's rounding error is bounded by eps sum |c_j| |lambda|^j,
+at least eps = 2^-52 of the constant term, so each term left out lies more
+than 2^148 times below it and decides no bit of a result (tests pin the
+bits against every term).  Every other lambda, and every lambda of an exact
+table, takes the rows themselves, formed from c as the dense pair forms
+them, so that no lambda^2 overflows.  The transfer matrix is the
 product of the blocks or rows: a short list is folded in Python floats, a
 long one is a pairwise tree of 2x2 matrices.  The Sturm count folds y2 alone
 at the block or row ends in Python floats, whatever the length.  A batch of
@@ -58,6 +64,7 @@ nothing here integrates past one period.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass, replace
@@ -78,6 +85,10 @@ _TABLES_KEPT = 4
 # runs of this many rows (a power of two) of an RK4 table compose into one
 # block, for every |lambda| that keeps a run's phase within 1 (_block_limit)
 _BLOCK_ROWS = 16
+# a block's term below this share of the smallest constant term of any block
+# entry is dropped from its evaluations (_reach): with it, every artifact keeps
+# its bits (2^-160 moved one atomic discriminant by 4.7e-15)
+_NEGLIGIBLE = 2.0 ** -200
 
 
 class BlowUpError(RuntimeError):
@@ -151,9 +162,12 @@ class _Table(NamedTuple):
     nodes[2r : 2r + 3], the row ends, row r ending at xs[r], and at the row
     ends the Simpson weights w and m_s, m_s' (mx, dmx).  Only a plain RK4
     table keeps blocks, the coefficients of its blocks of _BLOCK_ROWS rows as
-    polynomials in lambda (_blocks), and limit, the largest |lambda| that
-    admits them (_block_limit); any other table has no blocks and limit -1,
-    which admits no lambda.  Every array is read-only."""
+    polynomials in lambda (_blocks), limit, the largest |lambda| that admits
+    them (_block_limit), and reach, per power of lambda the |lambda| from
+    which the blocks' terms in it and above count (_reach): an evaluation
+    reads only the powers below the first whose reach is past its |lambda|.
+    Any other table has no blocks, limit -1, which admits no lambda, and no
+    reach.  Every array is read-only."""
 
     xs: np.ndarray | None
     h: np.ndarray | float
@@ -166,6 +180,7 @@ class _Table(NamedTuple):
     exact: np.ndarray | None
     blocks: np.ndarray | None = None
     limit: float = -1.0
+    reach: tuple = ()
 
 
 def _table(m, steps, x1=1.0, dense=False):
@@ -234,11 +249,12 @@ def _built_table(m, steps, x1, dense):
 
 
 def _plain(t):
-    """The plain table t, frozen: an RK4 table with its blocks and their
-    limit, an exact one with none, limit -1."""
+    """The plain table t, frozen: an RK4 table with its blocks, their limit
+    and the reach of their powers, an exact one with none, limit -1."""
     if t.ms is None:
         return _frozen(t)
-    return _frozen(t._replace(blocks=_blocks(_rows(t)), limit=_block_limit(t)))
+    blocks = _blocks(_rows(t))
+    return _frozen(t._replace(blocks=blocks, limit=_block_limit(t), reach=_reach(blocks)))
 
 
 def _frozen(t):
@@ -557,15 +573,39 @@ def _rows(t):
     return polys
 
 
+def _reach(blocks):
+    """Nondecreasing |lambda|s, reach[j] the least from which a term in
+    lambda^j, or in a higher power, of some block entry can exceed
+    _NEGLIGIBLE times the smallest constant term of any block entry; all 0,
+    every power kept, if that term is 0.  An evaluation at |lambda| below
+    reach[j] drops the terms from lambda^j on (_leading): each is below that
+    share of every entry's constant term, and so more than 2^148 times below
+    the evaluation's own rounding bound, eps sum |c_j| |lambda|^j."""
+    floor = _NEGLIGIBLE * np.min(np.abs(blocks[..., 0]))
+    if floor == 0.0:
+        return (0.0,) * blocks.shape[-1]
+    top = np.max(np.abs(blocks), axis=(0, 1))
+    with np.errstate(divide="ignore"):
+        reach = np.r_[0.0, (floor / top[1:]) ** (1.0 / np.arange(1, top.size))]
+    return tuple(np.minimum.accumulate(reach[::-1])[::-1].tolist())
+
+
+def _leading(t, top):
+    """The view of the blocks of t holding the powers of lambda that some
+    |lambda| <= top reaches (_reach): a slice, never a copy."""
+    return t.blocks[..., :bisect.bisect_right(t.reach, top)]
+
+
 def _evaluated(t, lam):
     """Rows (n / k, 4) of D of the plain table t at one lambda: its blocks
-    (k = _BLOCK_ROWS) where |lambda| admits them, by one matvec with the
-    powers of lambda, else its rows (k = 1) from c = 1/4 - lambda m_s, which
-    stay finite where lambda^2 overflows."""
+    (k = _BLOCK_ROWS) where |lambda| admits them, by one matvec of the terms
+    that lambda reaches (_leading) with its powers, else its rows (k = 1)
+    from c = 1/4 - lambda m_s, which stay finite where lambda^2 overflows."""
     if not abs(lam) <= t.limit:
         return _entries(t, lam).T
-    terms = t.blocks.shape[-1]
-    return (t.blocks.reshape(-1, terms) @ _powers(lam, terms)).reshape(-1, 4)
+    blocks = _leading(t, abs(lam))
+    terms = blocks.shape[-1]
+    return (blocks.reshape(-1, terms) @ _powers(lam, terms)).reshape(-1, 4)
 
 
 def _powers(lams, terms):
@@ -591,8 +631,11 @@ def endpoint_column(m, lams, column=(0.0, 1.0), steps=DEFAULT_STEPS):
     array holds k columns, which advance in one pass and give results with a
     leading axis of length k.  The lanes whose |lambda| the table's blocks
     admit walk them, each block one matmul of its coefficients with the
-    powers of lambda and one update of the columns; the other lanes walk the
-    rows the same way (_rows), whose lambda^2 overflows above 1.3e154.
+    powers of lambda and one update of the columns; they read the terms
+    their largest |lambda| reaches (_leading), (4, 17) @ (17, N) a block up
+    to 500 on a smooth m, the terms left out deciding no bit of any lane.
+    The other lanes walk the rows the same way (_rows), whose lambda^2
+    overflows above 1.3e154.
     """
     lams = np.asarray(lams, dtype=float)
     column = np.asarray(column, dtype=float)
@@ -601,7 +644,8 @@ def endpoint_column(m, lams, column=(0.0, 1.0), steps=DEFAULT_STEPS):
     blocked = np.abs(flat) <= t.limit
     out = np.empty((2,) + column.shape[1:] + flat.shape)
     if blocked.any():
-        out[..., blocked] = _walk(t.blocks, flat[blocked], column)
+        lanes = flat[blocked]
+        out[..., blocked] = _walk(_leading(t, float(np.max(np.abs(lanes)))), lanes, column)
     if not blocked.all():
         out[..., ~blocked] = _walk(_rows(t), flat[~blocked], column)
     _check_guard(out)

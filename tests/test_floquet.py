@@ -10,6 +10,7 @@ import pytest
 
 from chspectral import floquet
 from chspectral.coefficient import make_coefficient
+from chspectral.corpus import default_corpus
 from chspectral.floquet import (
     GUARD_BAND,
     JordanGapError,
@@ -210,10 +211,27 @@ def test_refine_point_is_the_windowed_point_of_the_same_index():
 
 
 def test_refine_point_loses_a_root_that_moved_out_of_its_window():
-    # 256 steps move two_mode's third point by more than 17 w
+    # a root 1 away from the point's mu lies outside even the widest window,
+    # 4^8 17e-7 = 0.11 about mu ~ 90: the Sturm count holds the index nowhere
     pt = auxiliary_spectrum(two_mode(), count=3)[2]
     with pytest.raises(RuntimeError, match="lost the root"):
-        refine_point(two_mode(), pt, steps=256)
+        refine_point(two_mode(), dataclasses.replace(pt, mu=pt.mu + 1.0), steps=4096)
+
+
+@pytest.mark.parametrize("name", ["const", "cosine", "two_mode"])
+def test_refine_point_widens_its_window_at_coarse_steps(name):
+    # 256 steps move the third point by 2.7e-6 (const), 3.1e-6 (cosine) and
+    # 3.0e-6 (two_mode) from its 4096-step mu, past the first window, 1.7e-6
+    # wide: a window 4 times wider, which the Sturm count says holds the
+    # index, finds the point the 256-step search finds
+    m = next(member.m for member in default_corpus() if member.name == name)
+    pt = auxiliary_spectrum(m, count=3)[2]
+    w = 17.0 * max(1e-7, 1e-9 * pt.mu)
+    assert not auxiliary_spectrum(m, pt.mu - w, pt.mu + w, steps=256)
+    coarse = refine_point(m, pt, steps=256)
+    assert coarse.index == pt.index == 3 and coarse.steps == 256
+    assert w < abs(coarse.mu - pt.mu) <= 3.5e-6
+    assert coarse == auxiliary_spectrum(m, count=3, steps=256)[2]
 
 
 def ends(t):

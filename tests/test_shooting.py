@@ -581,12 +581,22 @@ def test_blocked_transfer_matrix_matches_the_dense_pair(name):
     assert blocked == ({False} if t.ms is None else {True, False})
 
 
+def leads_the_blocks(blocks, t):
+    """True where blocks is a view of the leading terms of the blocks of the
+    table t: their memory and strides, their first terms."""
+    return (t.blocks is not None and blocks.ctypes.data == t.blocks.ctypes.data
+            and blocks.strides == t.blocks.strides
+            and np.array_equal(blocks, t.blocks[..., :blocks.shape[-1]]))
+
+
 def walks_blocks(monkeypatch, t, m, lams):
-    """Per lane of endpoint_column(m, lams): True where it walked the blocks of
-    the table t, False where it walked its rows."""
+    """Per lane of endpoint_column(m, lams): True where it walked (the
+    leading terms of) the blocks of the table t, False where it walked its
+    rows."""
     def spy(blocks, lanes, column):
-        assert blocks is t.blocks or np.array_equal(blocks, shooting._rows(t))
-        return np.full((2, lanes.size), float(blocks is t.blocks))
+        leading = leads_the_blocks(blocks, t)
+        assert leading or np.array_equal(blocks, shooting._rows(t))
+        return np.full((2, lanes.size), float(leading))
 
     monkeypatch.setattr(shooting, "_walk", spy)
     return (endpoint_column(m, lams)[0] == 1.0).tolist()
@@ -631,12 +641,69 @@ def test_block_limits_admit_a_phase_of_at_most_one(name, monkeypatch):
 def test_powers_of_one_lambda_are_the_array_powers(lam):
     # one lambda's powers, formed in Python, against the lanes' products,
     # bit for bit, at every number of terms a walk uses (exact rows, RK4
-    # rows, blocks), past overflow too
-    for terms in (2, 3, 2 * shooting._BLOCK_ROWS + 1):
+    # rows, the leading terms of blocks), past overflow too
+    for terms in range(1, 2 * shooting._BLOCK_ROWS + 2):
         one = np.array(shooting._powers(lam, terms))
         with np.errstate(over="ignore"):
             lanes = shooting._powers(np.array([lam]), terms)[:, 0]
         assert one.tobytes() == lanes.tobytes()
+
+
+RK4_SWEEP_MEMBERS = sorted(n for n, spec in SWEEP_MEMBERS.items() if "smooth" in spec)
+
+
+def all_terms(t, lam):
+    """Rows of D of the blocks of t at one lambda from every term: the
+    oracle for the leading-terms evaluation."""
+    terms = t.blocks.shape[-1]
+    return (t.blocks.reshape(-1, terms) @ shooting._powers(lam, terms)).reshape(-1, 4)
+
+
+@pytest.mark.parametrize("name", RK4_SWEEP_MEMBERS)
+def test_leading_terms_keep_the_bits_of_every_term(name):
+    # the terms a lambda does not reach lie below 2^-200 of every constant
+    # term: dropping them changes no bit of the blocks, of the transfer
+    # matrix or of the Sturm count
+    m = make_coefficient(SWEEP_MEMBERS[name])
+    t = shooting._table(m, shooting.DEFAULT_STEPS)
+    for lam in (0.0, -0.0, 1e-6, -1e-6, 1.0, 50.0, 500.0, 4000.0, t.limit, -t.limit):
+        if not abs(lam) <= t.limit:
+            continue        # atom_at_zero's limit, 541, admits no 4000
+        want = all_terms(t, lam)
+        got = shooting._evaluated(t, lam)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), lam
+        assert zero_count(m, lam) == shooting._sign_changes(want), lam
+        U = fundamental_matrix(m, lam)
+        assert [U.y1, U.y2, U.dy1, U.dy2] == shooting._transfer(want), lam
+
+
+@pytest.mark.parametrize("window", [(0.0, 500.0), (-500.0, None)], ids=["0..500", "-500..limit"])
+@pytest.mark.parametrize("name", RK4_SWEEP_MEMBERS)
+def test_sweep_lanes_keep_the_bits_of_every_term(name, window):
+    # one K for every blocked lane, read at their largest |lambda|
+    m = make_coefficient(SWEEP_MEMBERS[name])
+    t = shooting._table(m, shooting.DEFAULT_STEPS)
+    lams = np.linspace(window[0], t.limit if window[1] is None else window[1], 401)
+    lams = lams[np.abs(lams) <= t.limit]
+    for column in ((0.0, 1.0), np.eye(2)):
+        got = endpoint_column(m, lams, column)
+        want = shooting._walk(t.blocks, lams, np.asarray(column))
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
+@pytest.mark.parametrize("name", RK4_SWEEP_MEMBERS)
+def test_reached_terms_grow_with_lambda(name):
+    # the terms read at |lambda| never shrink as |lambda| grows, start at the
+    # constant term alone at 0 and never pass the stored count; at the
+    # workload's 500, 17 of 33 (18 with the atom at zero)
+    t = shooting._table(make_coefficient(SWEEP_MEMBERS[name]), shooting.DEFAULT_STEPS)
+    stored = t.blocks.shape[-1]
+    assert len(t.reach) == stored and list(t.reach) == sorted(t.reach)
+    tops = np.r_[0.0, np.geomspace(1e-9, t.limit, 200), t.limit]
+    terms = [shooting._leading(t, top).shape[-1] for top in tops]
+    assert terms == sorted(terms) and terms[0] == 1 and terms[-1] <= stored
+    assert shooting._leading(t, 500.0).shape[-1] == (18 if name == "atom_at_zero" else 17)
+    assert leads_the_blocks(shooting._leading(t, 500.0), t)     # a view, never a copy
 
 
 @pytest.mark.parametrize("m, lam", [

@@ -1,12 +1,14 @@
 """Norming constants, gradient fields, positivity, finite-difference checks."""
 
 import math
+import random
 
 import numpy as np
 import pytest
 
-from chspectral import shooting, variations
+from chspectral import shooting, suites, variations
 from chspectral.coefficient import BumpedSmooth, PeriodicCoefficient, make_coefficient
+from chspectral.corpus import default_corpus
 from chspectral.floquet import auxiliary_spectrum, second_floquet
 from chspectral.shooting import fundamental_matrix, solve_fundamental, trajectory_wronskian
 from chspectral.variations import (
@@ -349,3 +351,107 @@ def test_batched_chebyshev_roots_match_chebroots():
             want[v] = cand[np.argmin(np.abs(cand))]
     assert 0 < np.sum(np.isnan(want)) < want.size
     np.testing.assert_array_equal(variations._cheb_roots(coef), want)
+
+
+# ---------------------------------------------------------------------------
+# the peakon phase space as an oracle.  On m = sum p_k delta(x - q_k) the
+# first bracket is {F, G} = sum_k (dF/dp_k dG/dq_k - dF/dq_k dG/dp_k), from
+# integral(phi J psi) = integral(m (phi psi' - phi' psi)) and dm = dp delta(x
+# - q) - p dq delta'(x - q) (Camassa & Holm, PRL 71, 1993).  The exact
+# transfer product gives every derivative by a complex step, with no
+# integrator; from the package it takes only the points' mu.
+
+QP_STEP = 1e-30
+
+
+def qp_members():
+    """The corpus peakons and six seeded members of 2-16 atoms."""
+    members = {mb.name: mb.m for mb in default_corpus() if mb.m.smooth_is_zero}
+    for seed in range(6):
+        rng = random.Random(seed)
+        q = sorted(rng.uniform(0.02, 0.98) for _ in range(rng.randint(2, 16)))
+        members[f"atoms_seed{seed}"] = make_coefficient(
+            {"atoms": [{"q": x, "p": rng.uniform(0.2, 1.5)} for x in q]})
+    return members
+
+
+QP_MEMBERS = qp_members()
+
+
+def qp_monodromy(q, p, lam):
+    """U(1, lam) of the atoms (q, p), ascending in q, in complex arithmetic:
+    the free propagators of psi'' = psi/4 between the jumps."""
+    def free(d):
+        ch, sh = np.cosh(0.5 * d), np.sinh(0.5 * d)
+        return np.array([[ch, 2.0 * sh], [0.5 * sh, ch]])
+
+    u, pos = np.eye(2), 0.0
+    for qk, pk in zip(q, p):
+        u = np.array([[1.0, 0.0], [-lam * pk, 1.0]]) @ free(qk - pos) @ u
+        pos = qk
+    return free(1.0 - pos) @ u
+
+
+def qp_derivatives(m, mu):
+    """(dmu, df) with respect to (p_1, ..., p_n, q_1, ..., q_n) at the point
+    mu, f = -log|rho| / mu^2, by a complex step in each coordinate and in
+    lambda: dmu = -dy2(1) / d_lambda y2(1), and rho from the larger of
+    y2'(1) and 1/y1(1), as the package takes it."""
+    pq = np.array([[a.p for a in m.atoms], [a.q for a in m.atoms]], dtype=complex)
+    n = pq.shape[1]
+    u = qp_monodromy(pq[1], pq[0], mu).real
+    dlam = qp_monodromy(pq[1], pq[0], mu + 1j * QP_STEP).imag / QP_STEP
+    du = []
+    for k in range(2 * n):
+        step = pq.copy()
+        step[k // n, k % n] += 1j * QP_STEP
+        du.append(qp_monodromy(step[1], step[0], mu).imag / QP_STEP)
+    dmu = -np.array(du)[:, 0, 1] / dlam[0, 1]
+    du = np.array(du) + dmu[:, None, None] * dlam
+    if abs(u[1, 1]) >= abs(u[0, 0]):
+        rho, dlog = u[1, 1], du[:, 1, 1] / u[1, 1]
+    else:
+        rho, dlog = 1.0 / u[0, 0], -du[:, 0, 0] / u[0, 0]
+    return dmu, -dlog / mu ** 2 + 2.0 * math.log(abs(rho)) * dmu / mu ** 3
+
+
+def qp_points(m):
+    return auxiliary_spectrum(m, count=min(len(m.atoms), 5))
+
+
+@pytest.mark.parametrize("name", sorted(QP_MEMBERS))
+def test_peakon_brackets_of_mu_and_f_are_canonical(name):
+    # theorem 1 on the phase space: the (mu, f) bracket matrix against
+    # conjugacy_target, scaled as the theorem suites scale it; measured at
+    # most 2.0e-15 (atoms_seed4) over these members, up to 5 points each
+    m = QP_MEMBERS[name]
+    points = qp_points(m)
+    dmu, df = zip(*(qp_derivatives(m, pt.mu) for pt in points))
+    x = np.array(dmu + df)
+    dp, dq = np.split(x, 2, axis=1)
+    deviations = suites._scaled_block_deviations(dp @ dq.T - dq @ dp.T, [pt.mu for pt in points])
+    assert max(deviations) <= 2e-14
+
+
+# peakon_centered's one point is a Jordan block, which has no bundle
+@pytest.mark.parametrize("name", sorted(set(QP_MEMBERS) - {"peakon_centered"}))
+def test_gradients_at_the_atoms_are_the_qp_derivatives(name):
+    # dmu/dp_k = grad_mu(q_k) and dmu/dq_k = p_k avg(grad_mu'(q_k)), avg the
+    # mean of the atom's pre- and post-jump rows; f likewise.  Measured,
+    # relative to the row's largest entry: grad_mu at most 4.6e-15, grad_f at
+    # most 5.9e-14 max(1, mu^2), the mu^2 the theorem suites scale f by
+    # (2.7e-9 at atoms_seed3's mu = 214; rounding, the same at 1024 and
+    # 16384 steps, of the companion y = y1 + b y2 on the dense pair)
+    m = QP_MEMBERS[name]
+    for pt in qp_points(m):
+        bundle = bundle_at(m, pt)
+        post = np.nonzero(bundle.grad_mu.p)[0]      # each follows its pre-jump row
+        np.testing.assert_allclose(bundle.grad_mu.xs[post - 1], [a.q for a in m.atoms],
+                                   rtol=0.0, atol=1e-15)
+        dmu, df = qp_derivatives(m, pt.mu)
+        for field, want, bound in ((bundle.grad_mu, dmu, 5e-14),
+                                   (bundle.grad_f, df, 2e-13 * max(1.0, pt.mu ** 2))):
+            at = 0.5 * (field.values[post - 1] + field.values[post])
+            slope = 0.5 * (field.d1[post - 1] + field.d1[post]) * field.p[post]
+            err = np.max(np.abs(np.concatenate((at, slope)) - want))
+            assert err <= bound * np.max(np.abs(want)), (pt.index, err)

@@ -8,7 +8,9 @@
 # with `git archive`, each into its own temporary directory, as
 # tools/pairs.py does. Runs the working tree's tools/artifacts.sh in each,
 # then `diff -r` on the artifacts and `diff` on the stderr. Exits 0 when
-# both are byte-identical, 1 on any difference, which the diffs print.
+# both are byte-identical, 1 on any difference, which the diffs print,
+# followed by the working tree's tools/artifact_moves.py on the two artifact
+# trees (the largest relative move per column).
 set -euo pipefail
 
 if [ $# -ne 1 ]; then
@@ -40,5 +42,8 @@ diff -r parent.out change.out || status=1
 diff parent.err change.err || status=1
 if [ $status -eq 0 ]; then
   echo "artifacts and stderr byte-identical: $(git -C "$OLDPWD" rev-parse --short "$rev") and the working tree"
+else
+  echo "largest relative moves, parent -> working tree:"
+  python3 change/tools/artifact_moves.py parent.out change.out || true
 fi
 exit $status
