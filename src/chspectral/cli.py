@@ -8,6 +8,7 @@ significant digits so identical inputs give byte-identical artifacts.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -51,7 +52,10 @@ def _power_of_two(k):
     return k > 0 and (k & (k - 1)) == 0
 
 
+@functools.cache
 def build_parser():
+    """The one parser of this process, built on the first call: parsing
+    leaves it unchanged, so every argv goes through the same object."""
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--config", metavar="PATH",
                         help="coefficient spec (JSON); verify runs the "

@@ -138,48 +138,6 @@ class SampleSmooth:
         return {"kind": "samples", "values": self.samples.tolist()}
 
 
-class BumpedSmooth:
-    """Base smooth part plus a scaled unit-mass hat bump at a grid site.
-
-    The hat is the triangle of width 2/n centred at site/n with integral 1,
-    so base + eps * hat realises an approximate point perturbation of mass eps.
-    """
-
-    kind = "bumped"
-
-    def __init__(self, base, site, n, eps):
-        self.base = base
-        self.site = int(site)
-        self.n = int(n)
-        self.eps = float(eps)
-        if not 0 <= self.site < self.n:
-            raise CoefficientError(f"perturbation site {site} outside grid of size {n}")
-        self._center = self.site / self.n
-
-    @property
-    def is_zero(self):
-        return False
-
-    def hat(self, x):
-        d = np.abs(np.mod(x - self._center + 0.5, 1.0) - 0.5)
-        out = self.n * np.clip(1.0 - self.n * d, 0.0, None)
-        return out if isinstance(x, np.ndarray) else float(out)
-
-    def value(self, x):
-        return self.base.value(x) + self.eps * self.hat(x)
-
-    def derivative(self, x):
-        # one-sided at the three hat knots; measure zero, never used under J/K
-        t = np.mod(x - self._center + 0.5, 1.0) - 0.5
-        slope = np.where(np.abs(t) < 1.0 / self.n, -np.sign(t) * self.n * self.n, 0.0)
-        out = self.base.derivative(x) + self.eps * slope
-        return out if isinstance(x, np.ndarray) else float(out)
-
-    def spec(self):
-        return {"kind": "bumped", "base": self.base.spec(), "site": self.site,
-                "n": self.n, "eps": self.eps}
-
-
 @dataclass(frozen=True)
 class PeriodicCoefficient:
     """Momentum coefficient on the unit circle: smooth part plus delta atoms."""
@@ -331,31 +289,3 @@ def velocity_from_momentum(m, n):
         d = np.abs(np.mod(x - atom.q + 0.5, 1.0) - 0.5)
         v += atom.p * np.cosh(d - 0.5) / _G_NORM
     return GridFunction(n, v)
-
-
-def atom_velocity(atom, x):
-    """Green's-function velocity of a single atom at arbitrary points."""
-    d = np.abs(np.mod(x - atom.q + 0.5, 1.0) - 0.5)
-    out = atom.p * np.cosh(d - 0.5) / _G_NORM
-    return out if isinstance(x, np.ndarray) else float(out)
-
-
-def momentum_from_velocity(v):
-    """Apply (1 - D^2) by Fourier symbol; inverse of the smooth velocity solve."""
-    vhat = np.fft.rfft(v.values)
-    return GridFunction(v.n, np.fft.irfft(vhat * _helmholtz_symbol(v.n), v.n))
-
-
-def perturb(m, site, n, eps):
-    """Coefficient with eps times a unit-mass hat at site/n added to the smooth part.
-
-    Fourier smooth parts are first resampled onto the n-grid (periodic spline);
-    constant and sample parts are kept as they are.  Atoms are unchanged.
-    eps = 0 returns m itself.
-    """
-    if eps == 0.0:
-        return m
-    base = m.smooth
-    if isinstance(base, FourierSmooth):
-        base = SampleSmooth(base.value(grid_points(n)))
-    return PeriodicCoefficient(smooth=BumpedSmooth(base, site, n, eps), atoms=m.atoms)

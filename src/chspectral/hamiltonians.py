@@ -9,18 +9,13 @@ and the two gradients are tied together by J dH2/dm = K dH3/dm.  All spatial
 operators act through Fourier symbols on a power-of-two grid, so smooth
 band-limited coefficients are handled exactly up to roundoff.  Delta atoms
 kink the velocity and are outside this module's domain.
-
-h3, grad_h2 and grad_h3 have no caller in the package: hamiltonian_fields
-reaches K dH3/dm through _h3_source in one symbol.  They stay as the tests'
-finite-difference oracles: differences of h3 check grad_h3, and through it
-_h3_source, and differences of h2 check dH2/dm = v, the input of J.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .coefficient import GridFunction, grid_points, momentum_grid, velocity_from_momentum
+from .coefficient import grid_points, momentum_grid, velocity_from_momentum
 
 TWO_PI = 2.0 * np.pi
 
@@ -61,30 +56,8 @@ def h2_energy(m, n=256):
     return 0.5 * float(np.mean(v ** 2 + v1 ** 2))
 
 
-def h3(m, n=256):
-    """H3 = integral (v^3 + v v'^2)."""
-    _require_smooth(m, "h3")
-    v, v1, _ = _velocity_derivatives(m, n)
-    return float(np.mean(v ** 3 + v * v1 ** 2))
-
-
-def grad_h2(m, n=256):
-    """dH2/dm is the velocity itself."""
-    _require_smooth(m, "grad_h2")
-    return velocity_from_momentum(m, n)
-
-
 def _h3_source(v, v1, v2):
     return 3.0 * v ** 2 - v1 ** 2 - 2.0 * v * v2
-
-
-def grad_h3(m, n=256):
-    """dH3/dm = (1 - D^2)^{-1} (3 v^2 - v'^2 - 2 v v'')."""
-    _require_smooth(m, "grad_h3")
-    source = _h3_source(*_velocity_derivatives(m, n))
-    k = np.arange(n // 2 + 1)
-    out = np.fft.irfft(np.fft.rfft(source) / (1.0 + (TWO_PI * k) ** 2), n)
-    return GridFunction(n, out)
 
 
 def _k_of_grad_h3(v, v1, v2):

@@ -505,13 +505,6 @@ def fundamental_matrix(m, lam, x=1.0, steps=DEFAULT_STEPS):
     return FundamentalMatrix(x, lam, *u)
 
 
-def trajectory_wronskian(ta, tb):
-    """Pointwise Wronskian grid of two trajectories on one grid."""
-    if ta.lam != tb.lam or ta.xs.shape != tb.xs.shape:
-        raise ValueError("trajectories live on different grids or spectral points")
-    return ta.psi * tb.dpsi - ta.dpsi * tb.psi
-
-
 def positive_part_vanishes(m, steps=DEFAULT_STEPS):
     """True when no atom weight and no smooth value at an RK4 substep node is > 0.
 

@@ -17,7 +17,10 @@ weights p for the atoms; nothing here samples m on it.
 The finite-difference check takes a bundle and compares its fields with
 centered differences of hat-bump perturbations of the smooth part, at the
 bundle point's step count; shooting.bumped_endpoints runs the bumped
-integrations, and the check fits and solves their endpoints.
+integrations, and the check fits their endpoints with Chebyshev interpolants
+on [mu - d, mu + d].  Each perturbed mu is the interpolant's root that
+Newton's method reaches from mu itself, which the choice of d keeps within
+d/50; a column where Newton finds no root there is a lost root.
 """
 
 from __future__ import annotations
@@ -29,12 +32,11 @@ import numpy as np
 from numpy.polynomial import chebyshev
 
 from .brackets import ProductField
-from .shooting import bumped_endpoints, solve_fundamental
+from .shooting import bumped_endpoints
 
 VANISH_GUARD = 1e-12
 _CHEB_NODES = np.cos(np.pi * (np.arange(8) + 0.5) / 8.0)
-_COMPANION = chebyshev.chebcompanion(np.eye(8)[7])  # chebroots' degree-7 band
-_COMPANION_SCALE = 0.5 / np.array([math.sqrt(0.5)] + [1.0] * 6)
+_NEWTON_STEPS = 8
 
 
 def weighted_integral(ta, tb):
@@ -51,18 +53,6 @@ def norming_constant(t2):
     if abs(denom) <= VANISH_GUARD * scale:
         raise RuntimeError("norming integral of m y2^2 vanished; gradient undefined")
     return 1.0 / denom
-
-
-def positivity_residual(m, point):
-    """Relative residual of mu integral(m y2^2) = integral((y2/2)^2 + y2'^2).
-
-    Both sides are strictly positive for admissible coefficients, which pins
-    the sign of A and hence of the mu gradient.
-    """
-    _, t2 = solve_fundamental(m, point.mu, steps=point.steps)
-    lhs = point.mu * weighted_integral(t2, t2)
-    rhs = t2.w @ ((0.5 * t2.psi) ** 2 + t2.dpsi ** 2)
-    return abs(lhs - rhs) / max(abs(lhs), abs(rhs))
 
 
 @dataclass(frozen=True)
@@ -167,14 +157,22 @@ def gradient_table(bundle, n):
 
 
 def _cheb_roots(coef):
-    """Per column of Chebyshev coefficients, the real root nearest 0 within
-    [-1.02, 1.02] (nan if none): chebroots' companion matrices, one eigvals call."""
-    mats = _COMPANION - np.zeros((coef.shape[1], 1, 1))
-    mats[:, :, -1] -= (coef[:-1] / coef[-1]).T * _COMPANION_SCALE
-    t = np.linalg.eigvals(mats[:, ::-1, ::-1])
-    dist = np.where((np.abs(t.imag) < 1e-9) & (np.abs(t.real) <= 1.02), np.abs(t.real), np.inf)
-    best = np.argmin(dist, axis=1)
-    return np.where(np.isfinite(dist.min(axis=1)), t.real[np.arange(t.shape[0]), best], np.nan)
+    """Per column of Chebyshev coefficients on [-1, 1], the root Newton's
+    method reaches from t = 0 in _NEWTON_STEPS steps, or nan.
+
+    t = 0 is the base point mu, a simple zero of the unbumped y2(1), and
+    verify_gradients picks d so that every bumped root lies within 1/50 of
+    it: there Newton converges in about three steps, all columns at once.
+    nan marks a column whose last step exceeds 1e-14 or whose t left
+    [-1.02, 1.02]: no root was found near mu."""
+    dcoef = chebyshev.chebder(coef)
+    t = np.zeros(coef.shape[1])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(_NEWTON_STEPS):
+            step = (chebyshev.chebval(t, coef, tensor=False)
+                    / chebyshev.chebval(t, dcoef, tensor=False))
+            t = t - step
+        return np.where((np.abs(step) <= 1e-14) & (np.abs(t) <= 1.02), t, np.nan)
 
 
 def verify_gradients(m, bundle, n=256, eps=1e-5, sites=None):

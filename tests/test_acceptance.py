@@ -25,8 +25,9 @@ from chspectral.floquet import (
 )
 from chspectral.shooting import DEFAULT_STEPS, fundamental_matrix
 from chspectral.suites import run_suite
-from chspectral.variations import gradient_bundle, positivity_residual
+from chspectral.variations import gradient_bundle
 from chspectral.hamiltonians import bihamiltonian_residual
+from oracles import positivity_residual
 
 CORPUS = {member.name: member for member in default_corpus()}
 SMOOTH = ["const", "cosine", "two_mode"]

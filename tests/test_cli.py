@@ -9,7 +9,7 @@ import pytest
 
 import chspectral
 from chspectral import suites
-from chspectral.cli import _csv, entry
+from chspectral.cli import _csv, build_parser, entry
 from chspectral.corpus import default_corpus
 
 
@@ -334,6 +334,25 @@ def test_in_process_reruns_are_byte_identical(tmp_path):
         names = sorted(os.listdir(a))
         assert names and names == sorted(os.listdir(b))
         assert all((a / f).read_bytes() == (b / f).read_bytes() for f in names)
+
+
+def test_one_parser_serves_every_call(tmp_path, capsys):
+    # entry parses every argv with the parser built on its first call; a
+    # good run in between leaves a bad flag's error as it was: exit 2, one
+    # usage line and one error line
+    assert build_parser() is build_parser()
+    cfg = write_config(tmp_path, CONST)
+    errors = []
+    for out in (tmp_path / "a", tmp_path / "b"):
+        with pytest.raises(SystemExit) as err:
+            entry(["spectrum", "--config", cfg, "--bogus"])
+        assert err.value.code == 2
+        errors.append(capsys.readouterr().err)
+        assert entry(["spectrum", "--config", cfg, "--out", str(out)]) == 0
+    assert errors == [("usage: chspectral [-h] {discriminant,spectrum,verify} ...\n"
+                       "chspectral: error: unrecognized arguments: --bogus\n")] * 2
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert (a / "spectrum.csv").read_bytes() == (b / "spectrum.csv").read_bytes()
 
 
 @pytest.mark.parametrize("suite, cases", [("lemma", 18), ("theorem1", 1), ("theorem2", 1)])

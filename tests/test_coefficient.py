@@ -9,22 +9,19 @@ import pytest
 
 from chspectral.coefficient import (
     Atom,
-    BumpedSmooth,
     CoefficientError,
     ConstantSmooth,
     FourierSmooth,
     GridFunction,
     PeriodicCoefficient,
     SampleSmooth,
-    atom_velocity,
     grid_points,
     load_coefficient,
     make_coefficient,
-    momentum_from_velocity,
     momentum_grid,
-    perturb,
     velocity_from_momentum,
 )
+from oracles import BumpedSmooth, atom_velocity, momentum_from_velocity, perturb
 
 
 def test_constant_smooth_values():

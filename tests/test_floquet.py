@@ -22,7 +22,8 @@ from chspectral.floquet import (
     refine_point,
     second_floquet,
 )
-from chspectral.shooting import trajectory_wronskian, zero_count
+from chspectral.shooting import zero_count
+from oracles import trajectory_wronskian
 
 
 def const_m(c):

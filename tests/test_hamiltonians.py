@@ -5,17 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from chspectral.coefficient import make_coefficient, perturb
+from chspectral.coefficient import make_coefficient
 from chspectral.hamiltonians import (
     SmoothDomainError,
     bihamiltonian_residual,
-    grad_h2,
-    grad_h3,
     h2,
     h2_energy,
-    h3,
     hamiltonian_fields,
 )
+from oracles import grad_h2, grad_h3, h3, perturb
 
 
 def fourier(a0, cos=(), sin=()):

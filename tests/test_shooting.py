@@ -17,9 +17,9 @@ from chspectral.shooting import (
     fundamental_matrix,
     positive_part_vanishes,
     solve_fundamental,
-    trajectory_wronskian,
     zero_count,
 )
+from oracles import trajectory_wronskian
 
 
 def const_m(c):

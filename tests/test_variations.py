@@ -7,17 +7,17 @@ import numpy as np
 import pytest
 
 from chspectral import shooting, suites, variations
-from chspectral.coefficient import BumpedSmooth, PeriodicCoefficient, make_coefficient
+from chspectral.coefficient import PeriodicCoefficient, make_coefficient
 from chspectral.corpus import default_corpus
 from chspectral.floquet import auxiliary_spectrum, second_floquet
-from chspectral.shooting import fundamental_matrix, solve_fundamental, trajectory_wronskian
+from chspectral.shooting import fundamental_matrix, solve_fundamental
 from chspectral.variations import (
     gradient_bundle,
     norming_constant,
-    positivity_residual,
     verify_gradients,
     weighted_integral,
 )
+from oracles import BumpedSmooth, positivity_residual, trajectory_wronskian
 
 
 def const_m(c):
@@ -337,11 +337,8 @@ def test_bumped_endpoints_match_the_dense_scan(name, sites):
     assert np.all(np.abs(got - want) <= 1e-12 * np.array(norm) * scale)
 
 
-def test_batched_chebyshev_roots_match_chebroots():
-    rng = np.random.default_rng(3)
-    nodes = np.cos(np.pi * (np.arange(8) + 0.5) / 8.0)
-    tables = rng.normal(size=(8, 400)) + np.linspace(-1.5, 1.5, 400)
-    coef = np.polynomial.chebyshev.chebfit(nodes, tables, 7)
+def nearest_chebroot(coef):
+    """Per column, chebroots' real root nearest 0 within [-1.02, 1.02], or nan."""
     want = np.full(coef.shape[1], np.nan)
     for v in range(coef.shape[1]):
         cand = np.polynomial.chebyshev.chebroots(coef[:, v])
@@ -349,8 +346,77 @@ def test_batched_chebyshev_roots_match_chebroots():
         cand = cand[np.abs(cand) <= 1.02]
         if cand.size:
             want[v] = cand[np.argmin(np.abs(cand))]
-    assert 0 < np.sum(np.isnan(want)) < want.size
-    np.testing.assert_array_equal(variations._cheb_roots(coef), want)
+    return want
+
+
+def random_fourier(seed):
+    rng = np.random.default_rng(seed)
+    cos, sin = 0.3 * rng.normal(size=(2, 3)) / np.arange(1, 4)
+    return make_coefficient({"smooth": {"kind": "fourier", "a0": 1.0, "cos": cos.tolist(),
+                                        "sin": sin.tolist()}})
+
+
+@pytest.mark.parametrize("n", [256, 64])
+@pytest.mark.parametrize("name", ["two_mode", "fourier_5", "fourier_6"])
+def test_newton_roots_match_chebroots_on_the_gradient_fits(monkeypatch, name, n):
+    # the interpolants verify_gradients fits, at every site and both signs of
+    # eps: Newton from 0 lands within 3e-17, about 9 ulps of 0.02, of
+    # chebroots' nearest root (measured: 1.4e-17 at most over these members)
+    m = two_mode() if name == "two_mode" else random_fourier(int(name[-1]))
+    fits = []
+
+    def spy(coef):
+        fits.append(coef)
+        return newton(coef)
+
+    newton = variations._cheb_roots
+    monkeypatch.setattr(variations, "_cheb_roots", spy)
+    for pt in auxiliary_spectrum(m, count=2, steps=2048):
+        verify_gradients(m, bundle_at(m, pt), n=n)
+    assert len(fits) == 2 and all(coef.shape == (8, 2 * n) for coef in fits)
+    for coef in fits:
+        t, want = newton(coef), nearest_chebroot(coef)
+        assert not np.any(np.isnan(want))
+        assert np.max(np.abs(t - want)) <= 3e-17
+
+
+def test_newton_roots_match_chebroots_on_one_simple_root():
+    # a simple root at |t0| <= 1/2 times a smooth positive factor, plus a
+    # smooth perturbation: one real root in range per column.  chebroots'
+    # eigenvalues carry up to 2e-15 of rounding here, Newton's residual less
+    nodes = np.cos(np.pi * (np.arange(8) + 0.5) / 8.0)[:, None]
+    rng = np.random.default_rng(11)
+    t0 = rng.uniform(-0.5, 0.5, 400)
+    slope = rng.uniform(0.5, 2.0, 400) * rng.choice([-1.0, 1.0], 400)
+    a, b, phase = rng.normal(size=(3, 400))
+    tables = (slope * (nodes - t0) * (1.0 + 0.1 * a * np.cos(2.0 * nodes + phase))
+              + 0.02 * b * np.sin(3.0 * nodes + phase))
+    coef = np.polynomial.chebyshev.chebfit(nodes[:, 0], tables, 7)
+    t, want = variations._cheb_roots(coef), nearest_chebroot(coef)
+    assert not np.any(np.isnan(want))
+    assert np.max(np.abs(t - want)) <= 1e-14
+    residual = np.polynomial.chebyshev.chebval
+    assert (np.max(np.abs(residual(t, coef, tensor=False)))
+            <= np.max(np.abs(residual(want, coef, tensor=False))))
+
+
+def test_newton_roots_are_nan_without_a_root_newton_reaches():
+    # 2 + t has its root outside [-1.02, 1.02], t^2 + t/2 + 1 none that is
+    # real, and t^2 - 1/4 has roots at +-1/2 but a vanishing derivative at 0
+    nodes = np.cos(np.pi * (np.arange(8) + 0.5) / 8.0)
+    tables = np.stack([nodes + 2.0, nodes ** 2 + 0.5 * nodes + 1.0, nodes ** 2 - 0.25], 1)
+    coef = np.polynomial.chebyshev.chebfit(nodes, tables, 7)
+    assert np.all(np.isnan(variations._cheb_roots(coef)))
+
+
+def test_verify_gradients_solves_no_eigenproblem(monkeypatch):
+    def eigvals(*args, **kwargs):
+        raise AssertionError("verify_gradients called np.linalg.eigvals")
+
+    m = two_mode()
+    bundle = bundle_at(m, auxiliary_spectrum(m, count=1, steps=1024)[0])
+    monkeypatch.setattr(np.linalg, "eigvals", eigvals)
+    assert verify_gradients(m, bundle, n=64).rel_mu < 5e-4
 
 
 # ---------------------------------------------------------------------------

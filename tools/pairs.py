@@ -1,6 +1,6 @@
 """Alternating pairs of perfbench runs: a parent revision against the working tree.
 
-    python3 tools/pairs.py PARENT --workload NAME --seed N --pairs N
+    python3 tools/pairs.py PARENT --workload NAME|all --seed N --pairs N
                            [--seconds S] [--out BENCH.json]
 
 Exports both sides alike, each with `git archive` into its own temporary
@@ -10,7 +10,9 @@ a `__pycache__` or other untracked files; stage a new file to include it.
 Then runs the unchanged `perfbench/run.py` N times on each side, alternating
 which side goes first (even-numbered pairs, from 0, run the parent first).
 Every run is a fresh process of its side's own perfbench on its side's own
-sources.
+sources.  With --workload all each run is one `perfbench/run.py --workload
+all`, which runs every workload of BENCHMARK.json in turn; its last line holds
+one result per workload, and each workload becomes a series of its own.
 
 The summary holds, per end-to-end metric of BENCHMARK.json, both sides'
 medians and quartiles and the number of pairs the change wins (ties count for
@@ -19,9 +21,10 @@ correct.  Per metric it also says whether the change shows a gain (at least
 10 pairs, 9 in 10 of them won, and medians further apart than the parent's
 quartiles) and whether the change's median is worse than the parent's by
 more than the metric's bound in BENCHMARK.json, a share of the parent's
-median (worse_by gives that share).  With --out the series "NAME seed N" is
-written into that file, beside the series already there, in the layout of
-the committed BENCH_*.json files; a "claim" already in the file is kept.
+median (worse_by gives that share).  Each series "NAME seed N" is summarised
+on its own and printed; with --out every series is written into that file,
+beside the series already there, in the layout of the committed BENCH_*.json
+files; a "claim" already in the file is kept.
 Run from anywhere inside the repository.
 """
 
@@ -57,7 +60,8 @@ def export(rev, into):
 
 
 def perfbench(tree, workload, seed, seconds):
-    """One run of tree's perfbench: (its last JSON line, its "# env" line)."""
+    """One run of tree's perfbench: ({workload: result} from its last JSON
+    line, one entry per workload under `all`; its "# env" line)."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds)]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, timeout=1800)
@@ -67,7 +71,8 @@ def perfbench(tree, workload, seed, seconds):
                          f"{proc.stderr.strip()[-500:]}")
     env = next((json.loads(line[len("# env "):]) for line in lines
                 if line.startswith("# env ")), {})
-    return json.loads(lines[-1]), env
+    result = json.loads(lines[-1])
+    return (result if workload == "all" else {workload: result}), env
 
 
 def summarise(runs, metrics):
@@ -110,23 +115,25 @@ def main(argv=None):
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     parent = git("rev-parse", "--short", args.parent)
 
-    runs, env = {side: [] for side in SIDES}, {}
+    runs, env = {}, {}     # series -> side -> one entry per pair
     with tempfile.TemporaryDirectory() as old, tempfile.TemporaryDirectory() as new:
         export(parent, old)
         export(working_tree(), new)
         trees = {"parent": Path(old), "change": Path(new)}
         for pair in range(args.pairs):
             for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
-                result, env = perfbench(trees[side], args.workload, args.seed, args.seconds)
-                runs[side].append({"pair": pair, "correct": result["correct"],
-                                   "failed": result["failed"],
-                                   "attempted": result["attempted"], **result["metrics"]})
-                print(f"pair {pair} {side}: ops_per_s "
-                      f"{result['metrics']['ops_per_s']['value']:.4g}", file=sys.stderr)
+                results, env = perfbench(trees[side], args.workload, args.seed, args.seconds)
+                for workload, result in results.items():
+                    series = f"{workload} seed {args.seed}"
+                    runs.setdefault(series, {s: [] for s in SIDES})[side].append(
+                        {"pair": pair, "correct": result["correct"],
+                         "failed": result["failed"], "attempted": result["attempted"],
+                         **result["metrics"]})
+                    print(f"pair {pair} {side} {workload}: ops_per_s "
+                          f"{result['metrics']['ops_per_s']['value']:.4g}", file=sys.stderr)
 
-    series = f"{args.workload} seed {args.seed}"
-    summary = summarise(runs, metrics)
-    print(json.dumps({series: summary}, indent=1))
+    summaries = {series: summarise(sides, metrics) for series, sides in runs.items()}
+    print(json.dumps(summaries, indent=1))
     if args.out:
         bench = json.loads(args.out.read_text()) if args.out.exists() else {}
         dirty = git("status", "--porcelain", "--untracked-files=no")
@@ -142,8 +149,8 @@ def main(argv=None):
                       "own temporary directory, the parent of its commit, the change of the "
                       "working tree's tracked files (`git stash create`, or HEAD when clean)"),
         })
-        bench.setdefault("summary", {})[series] = summary
-        bench.setdefault("runs", {})[series] = runs
+        bench.setdefault("summary", {}).update(summaries)
+        bench.setdefault("runs", {}).update(runs)
         args.out.write_text(json.dumps(bench, indent=1) + "\n")
 
 
