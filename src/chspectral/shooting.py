@@ -32,7 +32,13 @@ long one is a pairwise tree of 2x2 matrices.  The Sturm count folds y2 alone
 at the block or row ends in Python floats, whatever the length.  A batch of
 lambdas splits into the lanes the blocks admit and the rest, and each group
 advances its columns block by block, or row by row, with the lambdas as
-vector lanes.  The dense pair is a prefix scan of single rows.
+vector lanes.  The blocked lanes first carry the blocks' pairwise tree on,
+one level per doubling of a block's rows, as far as their largest |lambda|
+keeps every doubled block within a phase of 1 and the powers it composes
+within 2^1000, each level keeping the terms that |lambda| reaches: 32
+blocks of 128 rows up to 500 on a smooth m, not 256 of 16, for a cost of
+about a millisecond per call, which a one-lambda operation does not pay.
+The dense pair is a prefix scan of single rows.
 Only rounding depends on the association: the scheme is RK4 and doubling
 the step count cuts its error by about 16.
 
@@ -83,7 +89,8 @@ _FOLD_ROWS = 128
 # plain one 0.27 MB more for its blocks
 _TABLES_KEPT = 4
 # runs of this many rows (a power of two) of an RK4 table compose into one
-# block, for every |lambda| that keeps a run's phase within 1 (_block_limit)
+# block, for every |lambda| that keeps a run's phase within 1 (_block_limit);
+# a sweep coarsens them further for its own |lambda| (_coarse)
 _BLOCK_ROWS = 16
 # a block's term below this share of the smallest constant term of any block
 # entry is dropped from its evaluations (_reach): with it, every artifact keeps
@@ -254,7 +261,8 @@ def _plain(t):
     if t.ms is None:
         return _frozen(t)
     blocks = _blocks(_rows(t))
-    return _frozen(t._replace(blocks=blocks, limit=_block_limit(t), reach=_reach(blocks)))
+    return _frozen(t._replace(blocks=blocks, limit=_block_limit(t, _BLOCK_ROWS, 2 * _BLOCK_ROWS),
+                              reach=_reach(blocks)))
 
 
 def _frozen(t):
@@ -531,26 +539,27 @@ def zero_count(m, lam, steps=DEFAULT_STEPS):
 # ---------------------------------------------------------------------------
 # blocks of rows as polynomials in lambda
 
-def _block_limit(t):
-    """The largest |lambda| that admits the blocks of _BLOCK_ROWS rows of the
-    RK4 table t.  A block of length H carrying atom mass P turns by about
-    sqrt(H^2 (1/4 + |lambda| max|m_s|) + |lambda| P H); within a phase of 1
-    the terms of a block's polynomials, summed in magnitude, stay within a
-    small factor (about cosh 1) of its entries, so evaluating them cancels
-    few digits, and y2 has at most one zero inside the block.  The highest
-    power of lambda in a block, 2 _BLOCK_ROWS, also stays within 2^1000, so
-    that it is finite where m_s and the atoms are too small to bound the
-    phase (m = 0 bounds nothing); a coefficient that underflows there drops
-    a term below 1e-22."""
+def _block_limit(t, rows, power):
+    """The largest |lambda| that admits blocks of `rows` rows (a power of two)
+    of the RK4 table t, lambda^power kept within 2^1000.  A block of length H
+    carrying atom mass P turns by about sqrt(H^2 (1/4 + |lambda| max|m_s|) +
+    |lambda| P H); within a phase of 1 the terms of a block's polynomials,
+    summed in magnitude, stay within a small factor (about cosh 1) of its
+    entries, so evaluating them cancels few digits, and y2 has at most one
+    zero inside the block.  The power, 2 rows for the table's blocks (their
+    highest power of lambda), stays within 2^1000, so that it is finite where
+    m_s and the atoms are too small to bound the phase (m = 0 bounds
+    nothing); a coefficient that underflows there drops a term below
+    1e-22."""
     h, p = np.broadcast_to(t.h, t.p.shape), np.abs(t.p)
-    starts = np.arange(0, p.size, _BLOCK_ROWS)
+    starts = np.arange(0, p.size, rows)
     length, mass = np.add.reduceat(h, starts), np.add.reduceat(p, starts)
     # H^2/4 + L (H^2 max|m_s| + H P) <= 1; a block with neither length nor
     # mass admits every L
     with np.errstate(divide="ignore"):
         phase = np.min((1.0 - 0.25 * length ** 2)
                        / (length * (length * np.max(np.abs(t.ms)) + mass)))
-    return min(float(phase), 2.0 ** (1000 / (2 * _BLOCK_ROWS)))
+    return min(float(phase), 2.0 ** (1000 / power))
 
 
 def _rows(t):
@@ -623,12 +632,12 @@ def endpoint_column(m, lams, column=(0.0, 1.0), steps=DEFAULT_STEPS):
     column is the Cauchy data (psi, psi') at 0 shared by the batch; a (2, k)
     array holds k columns, which advance in one pass and give results with a
     leading axis of length k.  The lanes whose |lambda| the table's blocks
-    admit walk them, each block one matmul of its coefficients with the
-    powers of lambda and one update of the columns; they read the terms
-    their largest |lambda| reaches (_leading), (4, 17) @ (17, N) a block up
-    to 500 on a smooth m, the terms left out deciding no bit of any lane.
-    The other lanes walk the rows the same way (_rows), whose lambda^2
-    overflows above 1.3e154.
+    admit walk them, coarsened as far as their largest |lambda| admits
+    (_coarse), each block one matmul of its coefficients with the powers of
+    lambda and one update of the columns; they read the terms that |lambda|
+    reaches, (4, 25) @ (25, N) a block of 128 rows up to 500 on a smooth m,
+    the terms left out deciding no bit of any lane.  The other lanes walk
+    the rows the same way (_rows), whose lambda^2 overflows above 1.3e154.
     """
     lams = np.asarray(lams, dtype=float)
     column = np.asarray(column, dtype=float)
@@ -638,12 +647,30 @@ def endpoint_column(m, lams, column=(0.0, 1.0), steps=DEFAULT_STEPS):
     out = np.empty((2,) + column.shape[1:] + flat.shape)
     if blocked.any():
         lanes = flat[blocked]
-        out[..., blocked] = _walk(_leading(t, float(np.max(np.abs(lanes)))), lanes, column)
+        out[..., blocked] = _walk(_coarse(t, float(np.max(np.abs(lanes)))), lanes, column)
     if not blocked.all():
         out[..., ~blocked] = _walk(_rows(t), flat[~blocked], column)
     _check_guard(out)
     psi, dpsi = out.reshape((2,) + column.shape[1:] + lams.shape)
     return psi, dpsi
+
+
+def _coarse(t, top):
+    """The blocks of the plain table t for lanes up to |lambda| = top <=
+    t.limit, coarsened: the leading terms of its blocks (_leading), then
+    levels of the pairwise tree _blocks runs (_halved), each doubling the
+    rows of a block while every doubled block keeps a phase within 1 at top
+    and top^(2 K) stays within 2^1000 (_block_limit), K the terms of the
+    level below, so that the powers of the terms it composes, up to
+    lambda^(2 K - 2), are finite.  After each level only the terms top
+    reaches (_reach) are kept, copied C-contiguous.  With no level the
+    result is _leading's view of the table's blocks."""
+    e, rows = _leading(t, top), _BLOCK_ROWS
+    while len(e) > 1 and top <= _block_limit(t, 2 * rows, 2 * e.shape[-1]):
+        e = _halved(e)
+        e = np.ascontiguousarray(e[..., :bisect.bisect_right(_reach(e), top)])
+        rows *= 2
+    return e
 
 
 def _walk(blocks, lams, column):
@@ -677,9 +704,19 @@ def _blocks(polys):
     e = np.concatenate((polys, np.zeros((-len(polys) % _BLOCK_ROWS,) + polys.shape[1:])))
     k = _BLOCK_ROWS
     while k > 1:
-        e = _compose_polys(e[1::2], e[0::2])
+        e = _halved(e)
         k //= 2
     return np.ascontiguousarray(e)
+
+
+def _halved(e):
+    """One level of the pairwise tree over the blocks e (n, 4, d + 1): the
+    (ceil(n / 2), 4, 2 d + 1) compositions of consecutive pairs, the first
+    acting first, a zero block, which composes as the identity, padding an
+    odd count (_compose_polys)."""
+    if len(e) % 2:
+        e = np.concatenate((e, np.zeros((1,) + e.shape[1:])))
+    return _compose_polys(e[1::2], e[0::2])
 
 
 def _compose_polys(a, b):

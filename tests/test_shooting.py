@@ -1,6 +1,7 @@
 """Transfer matrices and trajectories against constant-coefficient closed forms."""
 
 import ast
+import bisect
 import dataclasses
 import json
 import math
@@ -581,6 +582,17 @@ def test_blocked_transfer_matrix_matches_the_dense_pair(name):
     assert blocked == ({False} if t.ms is None else {True, False})
 
 
+def block_phase(t, rows, top):
+    """The largest phase sqrt(H^2 (1/4 + L max|m_s|) + L P H) at L = top of
+    the blocks of `rows` rows of the RK4 table t, H a block's length and P
+    its atom mass."""
+    h, p = np.broadcast_to(t.h, t.p.shape), np.abs(t.p)
+    starts = np.arange(0, h.size, rows)
+    length, mass = np.add.reduceat(h, starts), np.add.reduceat(p, starts)
+    return np.max(np.sqrt(length ** 2 * (0.25 + top * np.max(np.abs(t.ms)))
+                          + top * mass * length))
+
+
 def leads_the_blocks(blocks, t):
     """True where blocks is a view of the leading terms of the blocks of the
     table t: their memory and strides, their first terms."""
@@ -590,13 +602,18 @@ def leads_the_blocks(blocks, t):
 
 
 def walks_blocks(monkeypatch, t, m, lams):
-    """Per lane of endpoint_column(m, lams): True where it walked (the
-    leading terms of) the blocks of the table t, False where it walked its
-    rows."""
+    """Per lane of endpoint_column(m, lams): True where it walked the blocks
+    of the table t coarsened for the largest |lambda| of its group (a view of
+    their leading terms where that reaches t.limit), False where it walked
+    its rows."""
     def spy(blocks, lanes, column):
-        leading = leads_the_blocks(blocks, t)
-        assert leading or np.array_equal(blocks, shooting._rows(t))
-        return np.full((2, lanes.size), float(leading))
+        rows = shooting._rows(t)
+        if blocks.shape == rows.shape and np.array_equal(blocks, rows):
+            return np.zeros((2, lanes.size))
+        top = float(np.max(np.abs(lanes)))
+        assert blocks.tobytes() == shooting._coarse(t, top).tobytes()
+        assert top < t.limit or leads_the_blocks(blocks, t)
+        return np.ones((2, lanes.size))
 
     monkeypatch.setattr(shooting, "_walk", spy)
     return (endpoint_column(m, lams)[0] == 1.0).tolist()
@@ -614,18 +631,10 @@ def test_block_limits_admit_a_phase_of_at_most_one(name, monkeypatch):
     if t.ms is None:
         assert t.blocks is None and limit == -1.0
     else:
-        h, p = np.broadcast_to(t.h, t.p.shape), np.abs(t.p)
-        starts = np.arange(0, h.size, shooting._BLOCK_ROWS)
-        length, mass = np.add.reduceat(h, starts), np.add.reduceat(p, starts)
-
-        def phase(top):
-            return np.max(np.sqrt(length ** 2 * (0.25 + top * np.max(np.abs(t.ms)))
-                                  + top * mass * length))
-
         cap = 2.0 ** (1000 / 32)
-        assert t.blocks.shape == (starts.size, 4, 33)
-        assert phase(limit) <= 1.0 + 1e-15 and limit <= cap
-        assert phase(limit * (1.0 + 1e-9)) > 1.0 or limit == cap
+        assert t.blocks.shape == (-(-t.p.size // shooting._BLOCK_ROWS), 4, 33)
+        assert block_phase(t, 16, limit) <= 1.0 + 1e-15 and limit <= cap
+        assert block_phase(t, 16, limit * (1.0 + 1e-9)) > 1.0 or limit == cap
     # one lambda, a Python float, or the lanes of a sweep: blocks at and
     # below the limit, rows above it and at nan and inf
     tops = [0.0, -0.0, limit, -limit, math.nextafter(limit, -math.inf),
@@ -677,17 +686,48 @@ def test_leading_terms_keep_the_bits_of_every_term(name):
         assert [U.y1, U.y2, U.dy1, U.dy2] == shooting._transfer(want), lam
 
 
+def coarse_levels(t, coarse):
+    """The levels of the pairwise tree that take the blocks of t to the
+    blocks coarse, each halving the count, an odd block out padded."""
+    n, levels = len(t.blocks), 0
+    while n > len(coarse):
+        n, levels = -(-n // 2), levels + 1
+    assert n == len(coarse)
+    return levels
+
+
+def every_composed_term(t, top):
+    """The blocks endpoint_column walks up to |lambda| = top, every term of
+    their last level kept: all stored terms where no level coarsens them,
+    else that level composed from the terms top reaches of the level below,
+    as shooting._coarse composes it.  The oracle for the terms it drops."""
+    levels = coarse_levels(t, shooting._coarse(t, top))
+    e = t.blocks if levels == 0 else shooting._leading(t, top)
+    for level in range(levels):
+        if level:
+            e = e[..., :bisect.bisect_right(shooting._reach(e), top)]
+        e = np.concatenate((e, np.zeros((len(e) % 2,) + e.shape[1:])))
+        e = shooting._compose_polys(e[1::2], e[0::2])
+    return np.ascontiguousarray(e)
+
+
 @pytest.mark.parametrize("window", [(0.0, 500.0), (-500.0, None)], ids=["0..500", "-500..limit"])
 @pytest.mark.parametrize("name", RK4_SWEEP_MEMBERS)
 def test_sweep_lanes_keep_the_bits_of_every_term(name, window):
-    # one K for every blocked lane, read at their largest |lambda|
+    # one set of blocks for every blocked lane, coarsened and cut at their
+    # largest |lambda|: [0, 500] coarsens every member but atom_at_zero,
+    # whose limit is 541, and the limit coarsens none
     m = make_coefficient(SWEEP_MEMBERS[name])
     t = shooting._table(m, shooting.DEFAULT_STEPS)
     lams = np.linspace(window[0], t.limit if window[1] is None else window[1], 401)
     lams = lams[np.abs(lams) <= t.limit]
+    top = float(np.max(np.abs(lams)))
+    want_blocks = every_composed_term(t, top)
+    coarsened = coarse_levels(t, shooting._coarse(t, top)) > 0
+    assert coarsened == (window[1] == 500.0 and name != "atom_at_zero")
     for column in ((0.0, 1.0), np.eye(2)):
         got = endpoint_column(m, lams, column)
-        want = shooting._walk(t.blocks, lams, np.asarray(column))
+        want = shooting._walk(want_blocks, lams, np.asarray(column))
         assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
 
@@ -704,6 +744,54 @@ def test_reached_terms_grow_with_lambda(name):
     assert terms == sorted(terms) and terms[0] == 1 and terms[-1] <= stored
     assert shooting._leading(t, 500.0).shape[-1] == (18 if name == "atom_at_zero" else 17)
     assert leads_the_blocks(shooting._leading(t, 500.0), t)     # a view, never a copy
+
+
+# a small m admits a large lambda, where the power cap stops the coarsening
+COARSE_MEMBERS = {**{name: SWEEP_MEMBERS[name] for name in RK4_SWEEP_MEMBERS},
+                  **{f"const{c:g}": {"smooth": {"kind": "const", "value": c}} for c in (1e-6, 1e-9)}}
+
+
+@pytest.mark.parametrize("name", sorted(COARSE_MEMBERS))
+def test_sweeps_coarsen_the_blocks_as_far_as_their_top_admits(name):
+    # restated from the rule: every coarse block of 16 2^j rows turns by a
+    # phase of at most 1 at the sweep's largest |lambda|, and every power of
+    # lambda its last level composed, up to 2 K - 2 from K terms, stays
+    # within 2^1000; the next doubling would pass 1, or the power cap on the
+    # terms it composes, or there is one block left; every term finite
+    t = shooting._table(make_coefficient(COARSE_MEMBERS[name]), shooting.DEFAULT_STEPS)
+    for top in (0.0, 1e-6, 50.0, 500.0, t.limit / 4, t.limit):
+        coarse = shooting._coarse(t, top)
+        rows = shooting._BLOCK_ROWS * 2 ** coarse_levels(t, coarse)
+        terms, composed = coarse.shape[-1], every_composed_term(t, top).shape[-1]
+        assert np.isfinite(coarse).all() and (coarse.flags.c_contiguous or rows == 16), top
+        assert block_phase(t, rows, top) <= 1.0 + 1e-15, top
+        assert rows == 16 or top <= 2.0 ** (1000 / (composed + 1)), top
+        assert (len(coarse) == 1 or block_phase(t, 2 * rows, top) > 1.0
+                or not top <= 2.0 ** (1000 / (2 * terms))), top
+    # a sweep to 500 walks 32 blocks of 128 rows and 25 terms on two_mode
+    if name == "two_mode":
+        assert shooting._coarse(t, 500.0).shape == (32, 4, 25)
+
+
+@pytest.mark.parametrize("window", [(0.0, 500.0), (-500.0, 500.0)], ids=["0..500", "-500..500"])
+@pytest.mark.parametrize("name", RK4_SWEEP_MEMBERS)
+def test_coarse_sweeps_match_the_blocks_at_workload_scale(name, window):
+    # the discriminant workload's 4000 lanes: 40 of them against the
+    # one-lambda transfer matrix, every lane against the walk of the
+    # table's 16-row blocks, Delta scaled by max(1, |Delta|) (measured worst
+    # 8.1e-15, const at -363, where Delta = 9.6e7)
+    m = make_coefficient(SWEEP_MEMBERS[name])
+    t = shooting._table(m, shooting.DEFAULT_STEPS)
+    lams = np.linspace(*window, 4000)
+    psi, dpsi = endpoint_column(m, lams, np.eye(2))
+    for k in range(0, 4000, 100):
+        U = fundamental_matrix(m, lams[k])
+        want = np.array([[U.y1, U.y2], [U.dy1, U.dy2]])
+        got = np.array([psi[:, k], dpsi[:, k]])
+        assert np.max(np.abs(got - want)) <= swing_bound(m, lams[k], want), lams[k]
+    fine = shooting._walk(shooting._leading(t, 500.0), lams, np.eye(2))
+    delta, want = 0.5 * (psi[0] + dpsi[1]), 0.5 * (fine[0][0] + fine[1][1])
+    assert np.max(np.abs(delta - want) / np.maximum(1.0, np.abs(want))) <= 1e-14
 
 
 @pytest.mark.parametrize("m, lam", [
@@ -744,12 +832,18 @@ def test_single_rows_stay_finite_where_lambda_squared_overflows(lam):
 
 def test_sweep_lanes_walk_the_blocks_their_lambda_admits(monkeypatch):
     # one atom of weight 0.5 puts the blocks' limit near 541; the lanes below
-    # it walk the blocks, the lanes above walk the rows
+    # it walk the blocks, which 500 does not coarsen, the lanes above walk
+    # the rows
     m = make_coefficient(SWEEP_MEMBERS["atom_at_zero"])
     lams = np.linspace(-500.0, 5e4, 101)
     t = shooting._table(m, shooting.DEFAULT_STEPS)
     assert 500.0 < t.limit < 5e4
     assert walks_blocks(monkeypatch, t, m, lams) == (np.abs(lams) <= t.limit).tolist()
+    # blocked lanes up to 50 on two_mode walk coarse blocks, the rest rows
+    m = make_coefficient(SWEEP_MEMBERS["two_mode"])
+    t = shooting._table(m, shooting.DEFAULT_STEPS)
+    assert len(shooting._coarse(t, 50.0)) < len(t.blocks)
+    assert walks_blocks(monkeypatch, t, m, [50.0, -3.0, 1e6, math.nan]) == [True, True, False, False]
 
 
 @pytest.mark.parametrize("name", ["two_mode", "atoms16"])

@@ -1,4 +1,4 @@
-"""Largest relative moves between two artifact trees.
+"""Largest moves between two artifact trees.
 
     python3 tools/artifact_moves.py A B
 
@@ -6,12 +6,16 @@ A and B are directories as tools/artifacts.sh writes them.  Every file that
 is not byte-identical in both is reported, by its path relative to the trees:
 
 - a CSV file (a header row, then rows compared by position): per column, the
-  largest relative move |b - a| / max(|a|, |b|) over the rows whose cells are
-  numbers on both sides;
+  largest moves over the rows whose cells are numbers on both sides;
 - a JSON file: per numeric leaf, its key path with list indices written
-  `[]`, so that the entries of one list share a line, the largest relative
-  move over the leaves on that path;
+  `[]`, so that the entries of one list share a line, the largest moves over
+  the leaves on that path;
 - any other file: "differs".
+
+Each line gives two moves: the relative move |b - a| / max(|a|, |b|), and
+the scaled move |b - a| / max(1, |a|, |b|), the scale of the package's
+accuracy bounds, which does not inflate where a value crosses 0 (a
+discriminant near its zeros).
 
 Changes a relative move cannot express are flagged on lines of their own:
 `rows` (a different row count, or list length), `kinds` (a different value
@@ -33,13 +37,20 @@ from pathlib import Path
 
 
 def move(a, b):
-    """|b - a| / max(|a|, |b|): 0 for equal values, nan included, and inf
-    where exactly one side is nan."""
+    """(relative, scaled): |b - a| over max(|a|, |b|) and over max(1, |a|,
+    |b|); both 0 for equal values, nan included, and inf where exactly one
+    side is nan."""
     if a == b or (math.isnan(a) and math.isnan(b)):
-        return 0.0
+        return 0.0, 0.0
     if math.isnan(a) or math.isnan(b):
-        return math.inf
-    return abs(b - a) / max(abs(a), abs(b))
+        return math.inf, math.inf
+    size = max(abs(a), abs(b))
+    return abs(b - a) / size, abs(b - a) / max(1.0, size)
+
+
+def widest(moves, key, pair):
+    """Keep in moves[key] the largest of each of the two moves."""
+    moves[key] = tuple(map(max, moves.get(key, (0.0, 0.0)), pair))
 
 
 def number(text):
@@ -63,7 +74,7 @@ def csv_moves(a, b):
         for col, x, y in zip(head, row_a, row_b):
             nx, ny = number(x), number(y)
             if nx is not None and ny is not None:
-                moves[col] = max(moves.get(col, 0.0), move(nx, ny))
+                widest(moves, col, move(nx, ny))
             elif x != y:
                 changed[col] = changed.get(col, 0) + 1
     for col, count in changed.items():
@@ -112,7 +123,7 @@ def json_moves(a, b):
         key = generic(path)
         x, y = la.get(path, KeyError), lb.get(path, KeyError)
         if is_number(x) and is_number(y):
-            moves[key] = max(moves.get(key, 0.0), move(float(x), float(y)))
+            widest(moves, key, move(float(x), float(y)))
         elif x != y:
             text[key] = text.get(key, 0) + 1
     flags += [f"text: {count} leaves of {key}" for key, count in text.items()]
@@ -145,8 +156,8 @@ def main(argv):
         else:
             moves, flags = {}, ["differs"]
         width = max((len(k) for k in moves), default=0)
-        for key, value in moves.items():
-            print(f"  {key:<{width}}  {value:.2g}")
+        for key, (relative, scaled) in moves.items():
+            print(f"  {key:<{width}}  relative {relative:<7.2g}  scaled {scaled:.2g}")
         for flag in flags:
             print(f"  {flag}")
     print(f"{same} files identical, {differ} differ")
